@@ -104,7 +104,9 @@ def extend_to_sem(g: Graph, labels: Sequence[int]) -> SemLabeling:
     got = sorted(lab for _, _, lab in edge_labels)
     if got != list(range(p + 1, p + q + 1)):
         raise AssertionError(f"edge labels {got} are not p+1..p+q")
-    assert valence_of(g, labels) == k
+    would_be = valence_of(g, labels)
+    if would_be != k:
+        raise AssertionError(f"valence_of gives {would_be}, extension forces {k}")
     return SemLabeling(tuple(labels), edge_labels, k)
 
 

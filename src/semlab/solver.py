@@ -9,11 +9,12 @@ bijection that survives is automatically extendable (q distinct sums inside
 a width-(q-1) window must be consecutive), so reaching depth p is a witness.
 
 Work splits deterministically on the top two label assignments; each
-subtree is an independent task for a worker pool. Statuses, valence sets
-and reported witnesses are independent of the worker count: tasks merge in
-prefix order, the node budget is accounted as if tasks ran strictly
-sequentially, and the reported witness is the lexicographically least in
-assignment order over the space actually covered.
+subtree is a task. One executor streams the tasks to a worker pool (a pool
+of one, in this process, when single-threaded) and replays their results in
+prefix order as if they ran strictly sequentially, so statuses, valence sets,
+node counts and witnesses do not depend on the worker count. The witness is
+the lexicographically least in assignment order over the space covered. The
+node budget bounds the work done, not only the count reported.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import multiprocessing as mp
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -168,47 +169,60 @@ def assignment_order(g: Graph) -> list[int]:
 
 # --- search plan: static per-graph data shared by all tasks ---------------
 
-def _make_plan(g: Graph) -> tuple:
-    p, q = g.order, g.size
+@dataclass(frozen=True)
+class _Plan:
+    p: int
+    q: int
+    # position of each vertex in assignment order
+    pos: tuple[int, ...]
+    # positions of earlier-assigned neighbors, per position
+    earlier: tuple[tuple[int, ...], ...]
+    # edges fully labeled once depth d is assigned
+    placed_cum: tuple[int, ...]
+    # edges with both endpoints still unassigned once depth d is assigned
+    uu_after: tuple[int, ...]
+    # assigned positions that still have an unassigned neighbor at depth d
+    frontier: tuple[tuple[int, ...], ...]
+    # largest label tried at depth 0: (p+1)//2 under complement symmetry
+    anchor_cap: int
+
+
+def _make_plan(g: Graph, symmetry: bool) -> _Plan:
+    p = g.order
     order = assignment_order(g)
     pos = {v: i for i, v in enumerate(order)}
     edge_pos = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges]
     earlier = [[] for _ in range(p)]
-    for lo, hi in edge_pos:
-        earlier[hi].append(lo)
-    placed_cum = []
-    running = 0
-    for d in range(p):
-        running += len(earlier[d])
-        placed_cum.append(running)
-    # edges with both endpoints still unassigned once depth d is assigned
-    uu_after = [sum(1 for lo, _ in edge_pos if lo > d) for d in range(p)]
-    # assigned positions that still have an unassigned neighbor at depth d
     nbr_pos = [[] for _ in range(p)]
     for lo, hi in edge_pos:
+        earlier[hi].append(lo)
         nbr_pos[lo].append(hi)
         nbr_pos[hi].append(lo)
-    frontier = [
-        tuple(j for j in range(d + 1) if nbr_pos[j] and max(nbr_pos[j]) > d)
-        for d in range(p)
-    ]
-    return (
-        p,
-        q,
-        tuple(order),
-        tuple(tuple(sorted(e)) for e in earlier),
-        tuple(placed_cum),
-        tuple(uu_after),
-        tuple(frontier),
-    )
+    return _Plan(
+        p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
+        earlier=tuple(tuple(sorted(e)) for e in earlier),
+        placed_cum=tuple(itertools.accumulate(len(e) for e in earlier)),
+        uu_after=tuple(sum(1 for lo, _ in edge_pos if lo > d) for d in range(p)),
+        frontier=tuple(
+            tuple(j for j in range(d + 1) if nbr_pos[j] and max(nbr_pos[j]) > d)
+            for d in range(p)),
+        anchor_cap=(p + 1) // 2 if symmetry else p)
 
 
-class _Budget(Exception):
-    pass
+@dataclass(frozen=True)
+class _TaskResult:
+    """One subtree's search. A task that stops at its first witness (vertex
+    labels by vertex) or at its cap has not ``exhausted`` its subtree."""
+
+    nodes: int
+    labelings: int = 0
+    exhausted: bool = True
+    witness: tuple[int, ...] | None = None
+    valences: tuple[int, ...] = ()
 
 
-class _Abort(Exception):
-    pass
+class _Stop(Exception):
+    """A task reached its node cap or was told to abort."""
 
 
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
@@ -219,16 +233,13 @@ def _pool_init(abort_value):
     _WORKER_ABORT = abort_value
 
 
-def _run_task(payload: tuple) -> tuple:
-    """Search one subtree. Returns
-    (idx, nodes, labelings, exhausted, found_at, witness, valences, aborted).
-
-    ``found_at`` is the node count at the moment the first witness was
-    completed (early-exit mode); ``witness`` maps vertices to labels.
-    ``exhausted`` means the subtree was fully covered.
-    """
-    (idx, plan, prefix_labels, budget, collect, early_exit, anchor_cap) = payload
-    p, q, order, earlier, placed_cum, uu_after, frontier = plan
+def _run_task(plan: _Plan, collect: bool, idx: int,
+              prefix_labels: tuple[int, ...], cap: int) -> _TaskResult:
+    """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
+    ``collect`` gathers every valence over a full traversal; otherwise the
+    task stops at its first witness. ``idx`` is its place in prefix order."""
+    p, q, earlier, placed_cum = plan.p, plan.q, plan.earlier, plan.placed_cum
+    uu_after, frontier, anchor_cap = plan.uu_after, plan.frontier, plan.anchor_cap
     q1 = q - 1
     cap_l = 2 * p - q
 
@@ -241,7 +252,7 @@ def _run_task(payload: tuple) -> tuple:
 
     abort_box = _WORKER_ABORT
     ctr = [0, 0]  # nodes, labelings
-    found_box: list = [None, None]  # found_at, witness labels by vertex
+    witness_box: list = [None]  # witness labels by vertex
     valences: set[int] = set()
 
     cur_min, cur_max = 2 * p + 1, 0
@@ -251,31 +262,30 @@ def _run_task(payload: tuple) -> tuple:
             cur_min, cur_max, q1, cap_l)
         if not ok:
             # the prefix itself is infeasible: an empty, fully covered subtree
-            return (idx, 0, 0, True, None, None, (), False)
+            return _TaskResult(0)
     start = len(prefix_labels)
-    inv = _inverse_order(order)
+    pos = plan.pos
 
     def finish(labels_full, k, covered=1) -> bool:
         # ``covered`` completions share this node (the ascending fill stands
-        # in for every permutation of an unconstrained tail); an early-exit
+        # in for every permutation of an unconstrained tail); a witness
         # search stops at the single witness it reports
-        ctr[1] += covered if collect else 1
         if collect:
+            ctr[1] += covered
             valences.add(k)
-        if early_exit:
-            found_box[0] = ctr[0]
-            found_box[1] = tuple(labels_full[inv[v]] for v in range(p))
-            if abort_box is not None:
-                with abort_box.get_lock():
-                    if idx < abort_box.value:
-                        abort_box.value = idx
-            return True
-        return False
+            return False
+        ctr[1] += 1
+        witness_box[0] = tuple(labels_full[pos[v]] for v in range(p))
+        if abort_box is not None:
+            with abort_box.get_lock():
+                if idx < abort_box.value:
+                    abort_box.value = idx
+        return True
 
     def rec(d, cmin, cmax,
             earlier=earlier, placed_cum=placed_cum, used_label=used_label,
             used_sum=used_sum, labels_at=labels_at, added_rows=added_rows,
-            p=p, q=q, q1=q1, cap_l=cap_l, budget=budget,
+            p=p, q=q, q1=q1, cap_l=cap_l, cap=cap,
             abort_box=abort_box, ctr=ctr) -> bool:
         nodes = ctr[0]
         lab_hi = anchor_cap if d == 0 else p
@@ -287,13 +297,13 @@ def _run_task(payload: tuple) -> tuple:
             if used_label[lab]:
                 continue
             nodes += 1
-            if nodes > budget:
+            if nodes > cap:
                 ctr[0] = nodes - 1
-                raise _Budget
-            if abort_box is not None and nodes % 4096 == 0:
+                raise _Stop
+            if abort_box is not None and nodes % 4096 == 1:
                 if abort_box.value < idx:
                     ctr[0] = nodes
-                    raise _Abort
+                    raise _Stop
             new_min, new_max = cmin, cmax
             n_added = 0
             ok = True
@@ -347,29 +357,16 @@ def _run_task(payload: tuple) -> tuple:
         ctr[0] = nodes
         return False
 
-    exhausted = True
-    aborted = False
     try:
         if start == p:
             finish(labels_at, (p + q + cur_min) if q else 0)
-        elif rec(start, cur_min, cur_max):
-            pass
-        if found_box[1] is not None:
-            exhausted = False  # stopped at the first witness
-    except _Budget:
+        else:
+            rec(start, cur_min, cur_max)
+        exhausted = witness_box[0] is None
+    except _Stop:
         exhausted = False
-    except _Abort:
-        exhausted = False
-        aborted = True
-    return (idx, ctr[0], ctr[1], exhausted, found_box[0], found_box[1],
-            tuple(sorted(valences)), aborted)
-
-
-def _inverse_order(order: Sequence[int]) -> list[int]:
-    inv = [0] * len(order)
-    for i, v in enumerate(order):
-        inv[v] = i
-    return inv
+    return _TaskResult(ctr[0], ctr[1], exhausted, witness_box[0],
+                       tuple(sorted(valences)))
 
 
 def _apply_assignment(d, lab, labels_at, used_label, used_sum, earlier,
@@ -465,21 +462,20 @@ def _window_feasible(d, lab, labels_at, used_label, used_sum,
     return False
 
 
-# --- task construction and deterministic merging ---------------------------
+# --- task construction and the in-order streaming executor ----------------
 
-def _build_tasks(plan, symmetry: bool) -> tuple[list[tuple[int, ...]], int, int]:
+def _build_tasks(plan: _Plan) -> tuple[list[tuple[int, ...]], int]:
     """Enumerate feasible (first, second) label prefixes in lexicographic
-    order; returns (prefixes, prefix_nodes_counted, anchor_cap)."""
-    p, q, order, earlier, placed_cum, uu_after, frontier = plan
-    anchor_cap = (p + 1) // 2 if symmetry else p
+    order; returns (prefixes, prefix_nodes_counted)."""
+    p, q = plan.p, plan.q
     if p <= 2:
-        return [()], 0, anchor_cap
+        return [()], 0
     prefixes = []
     nodes = 0
     q1 = q - 1
     cap_l = 2 * p - q
-    adjacent = 0 in earlier[1]
-    for l0 in range(1, anchor_cap + 1):
+    adjacent = 0 in plan.earlier[1]
+    for l0 in range(1, plan.anchor_cap + 1):
         nodes += 1
         for l1 in range(1, p + 1):
             if l1 == l0:
@@ -490,89 +486,92 @@ def _build_tasks(plan, symmetry: bool) -> tuple[list[tuple[int, ...]], int, int]
                 if max(s - q1, 3) > min(s, cap_l):
                     continue
             prefixes.append((l0, l1))
-    return prefixes, nodes, anchor_cap
+    return prefixes, nodes
 
 
 @dataclass
 class _EngineResult:
     nodes: int
-    labelings: int
-    witness: tuple[int, ...] | None
+    labelings: int = 0
+    witness: tuple[int, ...] | None = None
     valences: set[int] = field(default_factory=set)
     exceeded: bool = False
+    visited: int = 0  # nodes of every task that ran, discarded ones too
 
 
-_ABORT_MARKER = (0, 0, 0, False, None, None, (), True)
+# tasks submitted ahead of the replay per worker; bounds the work discarded
+_WINDOW_PER_WORKER = 2
 
 
-def _merge(task_results: dict[int, tuple], ntasks: int, prefix_nodes: int,
-           budget: int, collect: bool) -> _EngineResult:
-    """Replay task results in prefix order under sequential budget rules."""
-    out = _EngineResult(nodes=prefix_nodes, labelings=0, witness=None)
+class _InlinePool(Executor):
+    """A pool of one worker: runs each task in this process when submitted."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _execute(plan: _Plan, tasks, prefix_nodes: int, budget: int, threads: int,
+             collect: bool) -> _EngineResult:
+    """Run the tasks, at most a window ahead of an in-order replay that
+    applies sequential budget rules. A task's cap is the budget less the
+    prefix nodes and the nodes of every finished, exhausted task before it:
+    never below its sequential allowance, so a task that hits its cap proves
+    a sequential run would run out of budget too. Once the replay stops, at
+    the first witness or at the budget cut, tasks past the cut quit."""
+    out = _EngineResult(nodes=prefix_nodes)
     if prefix_nodes > budget:
-        out.nodes = budget
-        out.exceeded = True
+        out.nodes, out.exceeded = budget, True
         return out
-    for i in range(ntasks):
-        _, nodes, labelings, exhausted, found_at, witness, valences, aborted = \
-            task_results[i]
-        allowed = budget - out.nodes
-        if found_at is not None and found_at <= allowed:
-            out.nodes += found_at
-            out.labelings += labelings
-            out.witness = witness
-            if collect:
-                out.valences.update(valences)
-            return out
-        if aborted or not exhausted or nodes > allowed:
-            # a strictly sequential run would have exhausted the budget
-            # inside this task before covering it
-            out.nodes = budget
-            out.exceeded = True
-            return out
-        out.nodes += nodes
-        out.labelings += labelings
-        if collect:
-            out.valences.update(valences)
-    return out
-
-
-def _execute(plan, tasks, prefix_nodes, anchor_cap, budget, threads,
-             collect, early_exit) -> _EngineResult:
-    p = plan[0]
     n = len(tasks)
-    results: dict[int, tuple] = {}
-    if threads > 1 and n > 1 and p >= _PARALLEL_MIN_ORDER:
-        # every task gets the full budget as its cap; _merge re-applies the
-        # sequential allowance so the outcome matches a single-threaded run
-        payloads = [(i, plan, pre, budget, collect, early_exit, anchor_cap)
-                    for i, pre in enumerate(tasks)]
-        abort_value = mp.Value("q", n + 1)
-        workers = min(threads, n)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(abort_value,)) as pool:
-            for res in pool.map(_run_task, payloads,
-                                chunksize=max(1, n // (workers * 4))):
-                results[res[0]] = res
+    if threads > 1 and n > 1 and plan.p >= _PARALLEL_MIN_ORDER:
+        window = _WINDOW_PER_WORKER * min(threads, n)
+        abort = mp.Value("q", n)  # tasks with a larger index quit
+        pool = ProcessPoolExecutor(max_workers=min(threads, n),
+                                   initializer=_pool_init, initargs=(abort,))
     else:
-        cum = prefix_nodes
-        stopped = cum > budget
-        for i, pre in enumerate(tasks):
-            if stopped:
-                results[i] = (i,) + _ABORT_MARKER[1:]
-                continue
-            allowed = budget - cum
-            res = _run_task((i, plan, pre, allowed, collect, early_exit,
-                             anchor_cap))
-            results[i] = res
-            _, nodes, _, exhausted, found_at, _, _, _ = res
-            if found_at is not None:
-                stopped = True
-            elif not exhausted or nodes > allowed:
-                stopped = True
-            else:
-                cum += nodes
-    return _merge(results, n, prefix_nodes, budget, collect)
+        window, abort, pool = 1, None, _InlinePool()
+    running: dict[int, Future] = {}  # submitted, not yet replayed
+    i = nxt = 0
+    with pool:
+        try:
+            while i < n:
+                if nxt < n and len(running) < window and (
+                        nxt == i or not running[i].done()):
+                    cap = budget - out.nodes - sum(
+                        f.result().nodes for f in running.values()
+                        if f.done() and f.result().exhausted)
+                    running[nxt] = pool.submit(_run_task, plan, collect, nxt,
+                                               tasks[nxt], cap)
+                    nxt += 1
+                    continue
+                res = running.pop(i).result()
+                out.visited += res.nodes
+                allowed = budget - out.nodes
+                found = res.witness is not None and res.nodes <= allowed
+                if not found and (not res.exhausted or res.nodes > allowed):
+                    # a strictly sequential run would have exhausted the
+                    # budget inside this task before covering it
+                    out.nodes, out.exceeded = budget, True
+                    break
+                out.nodes += res.nodes
+                out.labelings += res.labelings
+                out.valences.update(res.valences)
+                out.witness = res.witness
+                if found:
+                    break
+                i += 1
+        finally:
+            # no task left unreplayed is needed: those still running quit
+            if abort is not None:
+                with abort.get_lock():
+                    abort.value = i - 1
+            for f in running.values():
+                f.cancel()
+    out.visited += sum(f.result().nodes for f in running.values()
+                       if not f.cancelled())
+    return out
 
 
 def _normalize_prefix(g: Graph, prefix) -> tuple[tuple[int, int], ...]:
@@ -617,20 +616,20 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
         if verdict is not None:
             return outcome(STATUS_NOT_SEM_OBSTRUCTION, obstruction=verdict)
 
-    plan = _make_plan(g)
-    if prefix is not None:
-        norm = _normalize_prefix(g, prefix)
-        tasks: list[tuple[int, ...]] = [tuple(lab for _, lab in norm)]
-        engine = _execute(plan, tasks, 0, p, cfg.budget, 1, False, True)
+    norm = None if prefix is None else _normalize_prefix(g, prefix)
+    plan = _make_plan(g, cfg.symmetry_reduction and norm is None)
+    if norm is None:
+        tasks, prefix_nodes = _build_tasks(plan)
     else:
-        norm = None
-        tasks, prefix_nodes, anchor_cap = _build_tasks(plan, cfg.symmetry_reduction)
-        engine = _execute(plan, tasks, prefix_nodes, anchor_cap, cfg.budget,
-                          cfg.resolved_threads(), False, True)
+        tasks, prefix_nodes = [tuple(lab for _, lab in norm)], 0
+    engine = _execute(plan, tasks, prefix_nodes, cfg.budget,
+                      cfg.resolved_threads(), False)
 
     if engine.witness is not None:
         cert = extend_to_sem(g, engine.witness)
-        assert verify_sem(g, cert)
+        check = verify_sem(g, cert)
+        if not check:
+            raise AssertionError(f"witness fails verification: {check.reason}")
         return outcome(STATUS_SEM, witness=cert, engine=engine, norm_prefix=norm)
     if engine.exceeded:
         return outcome(STATUS_UNKNOWN_BUDGET_EXCEEDED, engine=engine,
@@ -652,14 +651,15 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     interval = sem_interval(g)
     if interval.empty:
         return ValenceSet((), True)
-    plan = _make_plan(g)
-    tasks, prefix_nodes, anchor_cap = _build_tasks(plan, symmetry=True)
-    threads_n = threads if threads is not None else (os.cpu_count() or 1)
-    engine = _execute(plan, tasks, prefix_nodes, anchor_cap, budget,
-                      max(1, threads_n), True, False)
+    plan = _make_plan(g, symmetry=True)
+    tasks, prefix_nodes = _build_tasks(plan)
+    threads = threads if threads is not None else (os.cpu_count() or 1)
+    engine = _execute(plan, tasks, prefix_nodes, budget, max(1, threads), True)
     values = set(engine.valences)
     values.update(dual_valence(p, q, k) for k in engine.valences)
-    assert values <= set(interval.values()), "valence outside the interval"
+    if not values <= set(interval.values()):
+        raise AssertionError(f"valences {sorted(values)} outside the interval "
+                             f"[{interval.lo}, {interval.hi}]")
     return ValenceSet(tuple(sorted(values)), complete=not engine.exceeded)
 
 

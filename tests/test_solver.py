@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +144,68 @@ def test_budget_is_deterministic_across_threads():
         ]
         assert outs[0].status == outs[1].status
         assert outs[0].stats.nodes == outs[1].stats.nodes
+    # C(3,9) reaches its witness at node 266,203: one node short of it, and
+    # exactly at it, where a task's cap meets its sequential allowance
+    for budget, status in ((266_202, STATUS_UNKNOWN_BUDGET_EXCEEDED),
+                           (266_203, STATUS_SEM)):
+        outs = [search_sem(make_two_cycle(3, 9),
+                           SearchConfig(threads=t, budget=budget))
+                for t in (1, 2, 4)]
+        assert {o.status for o in outs} == {status}
+        assert {o.stats.nodes for o in outs} == {budget}
+        assert len({o.witness for o in outs}) == 1
+    for budget in (10, 500, 10**9):
+        sets = [sem_set(make_cycle(7), budget=budget, threads=t) for t in (1, 2)]
+        assert sets[0].values == sets[1].values
+        assert sets[0].complete == sets[1].complete
+
+
+def test_parallel_work_is_bounded_by_budget():
+    # C(3,13) needs ~286M nodes, so without lowered caps and a stop at the
+    # cut each of its 112 tasks could visit the whole budget
+    budget = 20_000
+    plan = solver_mod._make_plan(make_two_cycle(3, 13), symmetry=True)
+    tasks, prefix_nodes = solver_mod._build_tasks(plan)
+    engine = solver_mod._execute(plan, tasks, prefix_nodes, budget, 2,
+                                 collect=False)
+    assert engine.exceeded and engine.nodes == budget
+    window = solver_mod._WINDOW_PER_WORKER * 2
+    assert budget - prefix_nodes <= engine.visited <= (window + 1) * budget
+
+
+def test_correctness_checks_survive_optimized_mode():
+    # under python -O assert statements vanish; the self-checks must not
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import semlab.labeling as labeling
+        import semlab.solver as solver
+        from semlab import SearchConfig, VerifyResult, make_cycle
+
+        if __debug__:
+            sys.exit("not running under python -O")
+
+        def expect_raise(what, call):
+            try:
+                call()
+            except AssertionError:
+                return
+            sys.exit(f"{what}: a failed self-check did not raise")
+
+        solver.verify_sem = lambda g, cert: VerifyResult(False, "patched")
+        expect_raise("search_sem", lambda: solver.search_sem(
+            make_cycle(5), SearchConfig(threads=1)))
+        solver.dual_valence = lambda p, q, k: k + 1
+        expect_raise("sem_set", lambda: solver.sem_set(make_cycle(5), threads=1))
+        labeling.valence_of = lambda g, labels: Fraction(0)
+        expect_raise("extend_to_sem", lambda: labeling.extend_to_sem(
+            make_cycle(5), (1, 3, 5, 2, 4)))
+    """)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sem_set_examples():
@@ -275,10 +342,10 @@ def test_every_extendable_labeling_is_reached():
     for g in graphs:
         if g.size == 0:
             continue
-        plan = solver_mod._make_plan(g)
-        tasks, prefix_nodes, cap = solver_mod._build_tasks(plan, symmetry=False)
-        engine = solver_mod._execute(plan, tasks, prefix_nodes, cap,
-                                     10**9, 1, True, False)
+        plan = solver_mod._make_plan(g, symmetry=False)
+        tasks, prefix_nodes = solver_mod._build_tasks(plan)
+        engine = solver_mod._execute(plan, tasks, prefix_nodes, 10**9, 1,
+                                     collect=True)
         brute = [perm for perm in helpers.all_bijections(g.order)
                  if is_extendable(edge_sums(g, perm))]
         assert engine.labelings == len(brute), f"coverage differs on {g}"
