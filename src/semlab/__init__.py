@@ -21,12 +21,15 @@ from .graphs import (
 from .labeling import (
     LabelingError,
     SemLabeling,
+    ValenceInterval,
     VerifyResult,
     complement_labeling,
     dual_valence,
     edge_sums,
     extend_to_sem,
     is_extendable,
+    rearrangement_extremes,
+    sem_interval,
     valence_of,
     verify_sem,
 )
@@ -55,14 +58,11 @@ from .solver import (
     SearchConfig,
     SearchOutcome,
     SearchStats,
-    ValenceInterval,
     ValenceSet,
     assignment_order,
     is_perfect_sem,
     oracle_search,
-    rearrangement_extremes,
     search_sem,
-    sem_interval,
     sem_set,
 )
 

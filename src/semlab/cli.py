@@ -16,7 +16,6 @@ import sys
 from .graphs import (
     CactusSpec,
     Graph,
-    GraphError,
     degree_sequence,
     degseq_4_2_realizations,
     make_cactus,
@@ -25,7 +24,7 @@ from .graphs import (
     parse_graph,
     parse_graph6,
 )
-from .labeling import LabelingError, SemLabeling, verify_sem
+from .labeling import SemLabeling, verify_sem
 from .obstructions import check_all
 from .solver import (
     DEFAULT_BUDGET,
@@ -35,7 +34,7 @@ from .solver import (
     STATUS_TRIVIAL_EDGELESS,
     STATUS_UNKNOWN_BUDGET_EXCEEDED,
     SearchConfig,
-    is_perfect_sem,
+    perfect_classification,
     search_sem,
     sem_interval,
     sem_set,
@@ -132,14 +131,17 @@ def load_graph(args) -> Graph:
     raise CliError("no graph given: use --gen, --g6, or a file path")
 
 
-def _threads(args) -> int | None:
+def _config(args, **flags) -> SearchConfig:
+    """Search settings from --budget and --threads (SEMLAB_THREADS overrides
+    the flag). SearchConfig rejects a bad budget or thread count."""
+    threads = args.threads
     env = os.environ.get("SEMLAB_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise CliError(f"bad SEMLAB_THREADS value {env!r}") from exc
-    return args.threads
+    return SearchConfig(budget=args.budget, threads=threads, **flags)
 
 
 def _load_certificate(path: str) -> SemLabeling:
@@ -177,12 +179,8 @@ _EXIT_BY_STATUS = {
 
 def cmd_solve(args) -> int:
     g = load_graph(args)
-    cfg = SearchConfig(
-        use_obstructions=not args.no_obstructions,
-        symmetry_reduction=not args.no_symmetry,
-        budget=args.budget,
-        threads=_threads(args),
-    )
+    cfg = _config(args, use_obstructions=not args.no_obstructions,
+                  symmetry_reduction=not args.no_symmetry)
     out = search_sem(g, cfg)
     if args.cert_out and out.witness is not None:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
@@ -228,10 +226,11 @@ def cmd_interval(args) -> int:
 
 def cmd_valences(args) -> int:
     g = load_graph(args)
+    cfg = _config(args)
     if g.size == 0:
         print(_EDGELESS_NOTE)
         return EXIT_SEM
-    vs = sem_set(g, budget=args.budget, threads=_threads(args))
+    vs = sem_set(g, cfg.budget, cfg.threads)
     if args.json:
         print(json.dumps({"valence_set": vs.to_json(), "complete": vs.complete}))
     else:
@@ -243,13 +242,14 @@ def cmd_valences(args) -> int:
 
 def cmd_perfect(args) -> int:
     g = load_graph(args)
+    cfg = _config(args)
     if g.size == 0:
         print(_EDGELESS_NOTE)
         return EXIT_SEM
-    verdict = is_perfect_sem(g, budget=args.budget, threads=_threads(args))
+    iv = sem_interval(g)
+    vs = sem_set(g, cfg.budget, cfg.threads)
+    verdict = perfect_classification(iv, vs)
     if args.json:
-        iv = sem_interval(g)
-        vs = sem_set(g, budget=args.budget, threads=_threads(args))
         print(json.dumps({"classification": verdict, "interval": iv.to_json(),
                           "valence_set": vs.to_json()}))
     else:
@@ -277,7 +277,7 @@ def _sweep_graphs(args):
 
 
 def cmd_sweep(args) -> int:
-    threads = _threads(args)
+    cfg = _config(args)
     max_order = args.max_order
     header = ["family", "params", "order", "size", "obstruction", "status",
               "interval_lo", "interval_hi", "valence_set", "nodes"]
@@ -289,7 +289,6 @@ def cmd_sweep(args) -> int:
             raise CliError(
                 f"sweep row {params} has order {g.order} > --max-order "
                 f"{max_order}; raise the cap to allow it")
-        cfg = SearchConfig(budget=args.budget, threads=threads)
         out = search_sem(g, cfg)
         iv = out.interval
         lo = "" if (iv is None or iv.empty) else str(iv.lo)
@@ -297,7 +296,7 @@ def cmd_sweep(args) -> int:
         if out.status in (STATUS_NOT_SEM_EXHAUSTED, STATUS_NOT_SEM_OBSTRUCTION):
             sigma = ""  # proven empty
         elif out.status == STATUS_SEM and g.order <= args.sigma_max_order:
-            vs = sem_set(g, budget=args.budget, threads=threads)
+            vs = sem_set(g, cfg.budget, cfg.threads)
             sigma = "|".join(str(v) for v in vs.values) if vs.complete else "skipped"
         else:
             sigma = "skipped"
@@ -307,13 +306,7 @@ def cmd_sweep(args) -> int:
         if args.timing:
             row.append(str(out.stats.millis))
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_SEM
+    return _emit(lines, args.output)
 
 
 def cmd_render(args) -> int:
@@ -338,17 +331,28 @@ def cmd_render(args) -> int:
         for u, v in g.edges:
             lines.append(f"  {u} -- {v};")
     lines.append("}")
+    return _emit(lines, args.output)
+
+
+def _emit(lines: list[str], path: str | None) -> int:
+    """Write the lines to the file at ``path``, or to stdout."""
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_SEM
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 3; 2 means budget exceeded
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semlab",
         description="Decide super edge-magicness of small graphs, with "
                     "machine-checkable certificates.")
@@ -425,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # bad graphs, labelings, budgets and thread counts raise ValueError
     try:
         return args.func(args)
-    except (CliError, GraphError, LabelingError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

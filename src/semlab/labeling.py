@@ -5,10 +5,14 @@ indexed by vertex. A labeling is *extendable* when its multiset of edge
 endpoint sums consists of q distinct consecutive integers; it then extends
 uniquely to a super edge-magic labeling with valence p + q + min(sums),
 each edge uv taking label k - f(u) - f(v).
+
+The valence arithmetic that the obstructions and the solver share lives
+here too, in the last section.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -47,11 +51,6 @@ def complement_labeling(labels: Sequence[int]) -> tuple[int, ...]:
     """The dual labeling v -> p+1-f(v); preserves extendability."""
     p = len(labels)
     return tuple(p + 1 - x for x in labels)
-
-
-def dual_valence(p: int, q: int, k: int) -> int:
-    """Valence of the complement labeling: k and its dual sum to 4p+q+3."""
-    return 4 * p + q + 3 - k
 
 
 @dataclass(frozen=True)
@@ -143,6 +142,8 @@ def verify_sem(g: Graph, cert: SemLabeling) -> VerifyResult:
     return VerifyResult(True)
 
 
+# --- valence arithmetic ----------------------------------------------------
+
 def valence_of(g: Graph, labels: Sequence[int]) -> Fraction:
     """The would-be valence (sum of deg(v)*f(v) plus all edge labels, over q).
 
@@ -153,7 +154,61 @@ def valence_of(g: Graph, labels: Sequence[int]) -> Fraction:
     if q == 0:
         raise LabelingError("valence undefined for an edgeless graph")
     check_vertex_labeling(g, labels)
-    p = g.order
     weighted = sum(d * x for d, x in zip(g.degrees(), labels))
-    edge_label_total = q * p + q * (q + 1) // 2  # sum of p+1..p+q
-    return Fraction(weighted + edge_label_total, q)
+    return Fraction(weighted + edge_label_total(g.order, q), q)
+
+
+def dual_valence(p: int, q: int, k: int) -> int:
+    """Valence of the complement labeling: k and its dual sum to 4p+q+3."""
+    return 4 * p + q + 3 - k
+
+
+def edge_label_total(p: int, q: int) -> int:
+    """Sum of the edge labels p+1..p+q of any super edge-magic labeling."""
+    return q * p + q * (q + 1) // 2
+
+
+def rearrangement_extremes(degrees: Sequence[int]) -> tuple[int, int]:
+    """Exact (min, max) of sum(deg(v) * g(v)) over all label bijections g.
+
+    Pairing the sorted degrees against opposite-sorted labels minimizes the
+    weighted sum; same-sorted maximizes it.
+    """
+    if not degrees:
+        raise ValueError("need at least one degree")
+    labels = range(1, len(degrees) + 1)
+    lo = sum(d * i for d, i in zip(sorted(degrees, reverse=True), labels))
+    hi = sum(d * i for d, i in zip(sorted(degrees), labels))
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class ValenceInterval:
+    """Integer interval [ceil(min), floor(max)] of would-be valences."""
+
+    lo: int
+    hi: int
+    min_s: Fraction
+    max_s: Fraction
+
+    @property
+    def empty(self) -> bool:
+        return self.lo > self.hi
+
+    def values(self) -> list[int]:
+        return [] if self.empty else list(range(self.lo, self.hi + 1))
+
+    def to_json(self) -> list[int]:
+        return [] if self.empty else [self.lo, self.hi]
+
+
+def sem_interval(g: Graph) -> ValenceInterval:
+    """Endpoints of the integer valence window for g (exact rationals kept)."""
+    p, q = g.order, g.size
+    if q == 0:
+        raise ValueError("valence interval undefined for an edgeless graph")
+    lo_num, hi_num = rearrangement_extremes(g.degrees())
+    total = edge_label_total(p, q)
+    min_s = Fraction(lo_num + total, q)
+    max_s = Fraction(hi_num + total, q)
+    return ValenceInterval(math.ceil(min_s), math.floor(max_s), min_s, max_s)

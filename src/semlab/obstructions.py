@@ -7,11 +7,11 @@ deliberately incomplete. All arithmetic is exact (integers and Fractions).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Graph, degree_sequence
+from .labeling import edge_label_total, sem_interval
 
 EVEN_DEG_Q_MOD4 = "EVEN_DEG_Q_MOD4"
 DEGSEQ_4_2_EVEN_ORDER = "DEGSEQ_4_2_EVEN_ORDER"
@@ -92,15 +92,13 @@ def check_valence_integrality(g: Graph) -> ObstructionVerdict | None:
     affine function of the total label mass placed on the high-degree
     vertices, and subset sums of {1..p} fill a contiguous range, so
     achievability is decided exactly. With three or more distinct degrees
-    only the necessary window condition ceil(min) <= floor(max) is checked;
-    when it holds, the filter stays silent rather than risk unsoundness.
+    only the valence interval is checked: a verdict when it is empty,
+    silence otherwise rather than risk unsoundness.
     """
     p, q = g.order, g.size
     if q == 0:
         raise ValueError("valence integrality undefined for an edgeless graph")
     degrees = sorted(g.degrees(), reverse=True)
-    total = p * (p + 1) // 2
-    edge_label_total = q * p + q * (q + 1) // 2
     distinct = sorted(set(degrees), reverse=True)
 
     if len(distinct) <= 2:
@@ -111,10 +109,9 @@ def check_valence_integrality(g: Graph) -> ObstructionVerdict | None:
         # ranges over all sums of n_hi labels out of {1..p} (a full interval)
         a_min = n_hi * (n_hi + 1) // 2
         a_max = n_hi * (2 * p - n_hi + 1) // 2
-        base = d_lo * total + edge_label_total
+        base = d_lo * (p * (p + 1) // 2) + edge_label_total(p, q)
         step = d_hi - d_lo
-        hits = [a for a in range(a_min, a_max + 1) if (base + step * a) % q == 0]
-        if hits:
+        if any((base + step * a) % q == 0 for a in range(a_min, a_max + 1)):
             return None
         return ObstructionVerdict(
             VALENCE_INTEGRALITY,
@@ -125,25 +122,16 @@ def check_valence_integrality(g: Graph) -> ObstructionVerdict | None:
              "mass_range": [a_min, a_max], "size": q},
         )
 
-    lo_num, hi_num = _weighted_sum_extremes(degrees)
-    min_s = Fraction(lo_num + edge_label_total, q)
-    max_s = Fraction(hi_num + edge_label_total, q)
-    if math.ceil(min_s) <= math.floor(max_s):
+    iv = sem_interval(g)
+    if not iv.empty:
         return None
     return ObstructionVerdict(
         VALENCE_INTEGRALITY,
         f"no integer lies between the minimum and maximum would-be valences "
-        f"{min_s} and {max_s}",
-        {"min_valence": [min_s.numerator, min_s.denominator],
-         "max_valence": [max_s.numerator, max_s.denominator]},
+        f"{iv.min_s} and {iv.max_s}",
+        {"min_valence": [iv.min_s.numerator, iv.min_s.denominator],
+         "max_valence": [iv.max_s.numerator, iv.max_s.denominator]},
     )
-
-
-def _weighted_sum_extremes(degrees_desc: list[int]) -> tuple[int, int]:
-    # min pairs large degrees with small labels, max with large (rearrangement)
-    lo = sum(d * i for d, i in zip(degrees_desc, range(1, len(degrees_desc) + 1)))
-    hi = sum(d * i for d, i in zip(sorted(degrees_desc), range(1, len(degrees_desc) + 1)))
-    return lo, hi
 
 
 _ALL_CHECKS = (

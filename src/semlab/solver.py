@@ -26,13 +26,13 @@ import os
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .graphs import Graph
-from .labeling import SemLabeling, dual_valence, extend_to_sem, verify_sem
+# the valence arithmetic lives in labeling; its names stay importable here
+from .labeling import (SemLabeling, ValenceInterval, dual_valence,  # noqa: F401
+                       extend_to_sem, rearrangement_extremes, sem_interval,
+                       verify_sem)
 from .obstructions import ObstructionVerdict, check_all
 
 STATUS_SEM = "SEM"
@@ -43,28 +43,12 @@ STATUS_TRIVIAL_EDGELESS = "TRIVIAL_EDGELESS"
 
 DEFAULT_BUDGET = 10**9
 
-# below this order a worker pool costs more than the whole search
-_PARALLEL_MIN_ORDER = 6
-
-
-@dataclass(frozen=True)
-class ValenceInterval:
-    """Integer interval [ceil(min), floor(max)] of would-be valences."""
-
-    lo: int
-    hi: int
-    min_s: Fraction
-    max_s: Fraction
-
-    @property
-    def empty(self) -> bool:
-        return self.lo > self.hi
-
-    def values(self) -> list[int]:
-        return [] if self.empty else list(range(self.lo, self.hi + 1))
-
-    def to_json(self) -> list[int]:
-        return [] if self.empty else [self.lo, self.hi]
+# below this order a worker pool costs more than the whole search. Medians
+# of 5 runs, 1 thread against 2, on a 2-vCPU VM: order-7 solves of C(3,5)
+# and C(4,4) take 1.9 and 1.8 ms against 13.7 and 11.1 ms; order-8 sem_set
+# traversals take 16-18 ms against 25-29 ms, about the pool's start-up
+# cost; order-9 traversals take 63-108 ms against 65-77 ms.
+_PARALLEL_MIN_ORDER = 9
 
 
 @dataclass(frozen=True)
@@ -135,32 +119,6 @@ class SearchOutcome:
         }
 
 
-def rearrangement_extremes(degrees: Sequence[int]) -> tuple[int, int]:
-    """Exact (min, max) of sum(deg(v) * g(v)) over all label bijections g.
-
-    Pairing the sorted degrees against opposite-sorted labels minimizes the
-    weighted sum; same-sorted maximizes it.
-    """
-    if not degrees:
-        raise ValueError("need at least one degree")
-    labels = range(1, len(degrees) + 1)
-    lo = sum(d * i for d, i in zip(sorted(degrees, reverse=True), labels))
-    hi = sum(d * i for d, i in zip(sorted(degrees), labels))
-    return lo, hi
-
-
-def sem_interval(g: Graph) -> ValenceInterval:
-    """Endpoints of the integer valence window for g (exact rationals kept)."""
-    p, q = g.order, g.size
-    if q == 0:
-        raise ValueError("valence interval undefined for an edgeless graph")
-    lo_num, hi_num = rearrangement_extremes(g.degrees())
-    edge_label_total = q * p + q * (q + 1) // 2
-    min_s = Fraction(lo_num + edge_label_total, q)
-    max_s = Fraction(hi_num + edge_label_total, q)
-    return ValenceInterval(math.ceil(min_s), math.floor(max_s), min_s, max_s)
-
-
 def assignment_order(g: Graph) -> list[int]:
     """Static search order: vertices by descending degree, ties by index."""
     deg = g.degrees()
@@ -215,10 +173,10 @@ class _TaskResult:
     labels by vertex) or at its cap has not ``exhausted`` its subtree."""
 
     nodes: int
-    labelings: int = 0
-    exhausted: bool = True
-    witness: tuple[int, ...] | None = None
-    valences: tuple[int, ...] = ()
+    labelings: int
+    exhausted: bool
+    witness: tuple[int, ...] | None
+    valences: tuple[int, ...]
 
 
 class _Stop(Exception):
@@ -251,19 +209,15 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     added_rows = [[0] * (p + 1) for _ in range(p + 1)]
 
     abort_box = _WORKER_ABORT
-    ctr = [0, 0]  # nodes, labelings
+    # pinned depths try only their label. Like the prefix enumeration that
+    # made them, they count no nodes (the counter starts below zero by the
+    # prefix length) and run neither the window check nor the ascending fill
+    start = len(prefix_labels)
+    ctr = [-start, 0]  # nodes, labelings
     witness_box: list = [None]  # witness labels by vertex
     valences: set[int] = set()
-
-    cur_min, cur_max = 2 * p + 1, 0
-    for d, lab in enumerate(prefix_labels):
-        ok, cur_min, cur_max = _apply_assignment(
-            d, lab, labels_at, used_label, used_sum, earlier,
-            cur_min, cur_max, q1, cap_l)
-        if not ok:
-            # the prefix itself is infeasible: an empty, fully covered subtree
-            return _TaskResult(0)
-    start = len(prefix_labels)
+    choices = [(lab,) for lab in prefix_labels] + [
+        range(1, (anchor_cap if d == 0 else p) + 1) for d in range(start, p)]
     pos = plan.pos
 
     def finish(labels_full, k, covered=1) -> bool:
@@ -288,12 +242,11 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
             p=p, q=q, q1=q1, cap_l=cap_l, cap=cap,
             abort_box=abort_box, ctr=ctr) -> bool:
         nodes = ctr[0]
-        lab_hi = anchor_cap if d == 0 else p
         earlier_d = earlier[d]
         now_placed = placed_cum[d]
-        check_window = 0 < now_placed < q
+        check_window = d >= start and 0 < now_placed < q
         added = added_rows[d]
-        for lab in range(1, lab_hi + 1):
+        for lab in choices[d]:
             if used_label[lab]:
                 continue
             nodes += 1
@@ -341,7 +294,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                 if d + 1 == p:
                     if finish(labels_at, p + q + new_min):
                         return True
-                elif now_placed == q:
+                elif now_placed == q and d >= start:
                     # no edges left: any fill works; ascending is the least
                     fill = [x for x in range(1, p + 1) if not used_label[x]]
                     full = list(labels_at)
@@ -358,45 +311,13 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         return False
 
     try:
-        if start == p:
-            finish(labels_at, (p + q + cur_min) if q else 0)
-        else:
-            rec(start, cur_min, cur_max)
+        rec(0, 2 * p + 1, 0)
         exhausted = witness_box[0] is None
     except _Stop:
         exhausted = False
-    return _TaskResult(ctr[0], ctr[1], exhausted, witness_box[0],
+    # a prefix that fails, or a cap below zero, stops before any counted node
+    return _TaskResult(max(ctr[0], 0), ctr[1], exhausted, witness_box[0],
                        tuple(sorted(valences)))
-
-
-def _apply_assignment(d, lab, labels_at, used_label, used_sum, earlier,
-                      cur_min, cur_max, q1, cap_l):
-    """Prefix version of the in-loop assignment checks (no node counting)."""
-    if used_label[lab]:
-        return False, cur_min, cur_max
-    added = []
-    for j in earlier[d]:
-        s = lab + labels_at[j]
-        if used_sum[s]:
-            for t in added:
-                used_sum[t] = 0
-            return False, cur_min, cur_max
-        used_sum[s] = 1
-        added.append(s)
-        if s < cur_min:
-            cur_min = s
-        if s > cur_max:
-            cur_max = s
-    if added:
-        lo_l = max(cur_max - q1, 3)
-        hi_l = min(cur_min, cap_l)
-        if cur_max - cur_min > q1 or lo_l > hi_l:
-            for t in added:
-                used_sum[t] = 0
-            return False, cur_min, cur_max
-    used_label[lab] = 1
-    labels_at[d] = lab
-    return True, cur_min, cur_max
 
 
 def _window_feasible(d, lab, labels_at, used_label, used_sum,
@@ -645,6 +566,8 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     result under complement duality, which covers the full bijection space
     exactly. An empty valence interval short-circuits to the empty set.
     """
+    # SearchConfig rejects a budget or thread count below 1
+    threads = SearchConfig(budget=budget, threads=threads).resolved_threads()
     p, q = g.order, g.size
     if q == 0:
         raise ValueError("valence set undefined for an edgeless graph")
@@ -653,8 +576,7 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
         return ValenceSet((), True)
     plan = _make_plan(g, symmetry=True)
     tasks, prefix_nodes = _build_tasks(plan)
-    threads = threads if threads is not None else (os.cpu_count() or 1)
-    engine = _execute(plan, tasks, prefix_nodes, budget, max(1, threads), True)
+    engine = _execute(plan, tasks, prefix_nodes, budget, threads, True)
     values = set(engine.valences)
     values.update(dual_valence(p, q, k) for k in engine.valences)
     if not values <= set(interval.values()):
@@ -669,20 +591,24 @@ VACUOUS_NOT_SEM = "vacuous-not-sem"
 UNKNOWN = "unknown"
 
 
-def is_perfect_sem(g: Graph, budget: int = DEFAULT_BUDGET,
-                   threads: int | None = None) -> str:
+def perfect_classification(interval: ValenceInterval,
+                           realized: ValenceSet) -> str:
     """Compare the valence interval with the realized valence set."""
-    if g.size == 0:
-        raise ValueError("perfect super edge-magicness undefined without edges")
-    interval = sem_interval(g)
     if interval.empty:
         return VACUOUS_NOT_SEM
-    realized = sem_set(g, budget, threads)
     if not realized.complete:
         return UNKNOWN
     if set(realized.values) == set(interval.values()):
         return PERFECT
     return NOT_PERFECT
+
+
+def is_perfect_sem(g: Graph, budget: int = DEFAULT_BUDGET,
+                   threads: int | None = None) -> str:
+    """Classify g by its valence interval and its realized valence set."""
+    if g.size == 0:
+        raise ValueError("perfect super edge-magicness undefined without edges")
+    return perfect_classification(sem_interval(g), sem_set(g, budget, threads))
 
 
 # --- independent brute-force oracle ----------------------------------------
@@ -699,6 +625,8 @@ def oracle_search(g: Graph, *, prefix: Iterable[tuple[int, int]] | None = None,
     directly (vectorized). ``prefix`` fixes some vertices' labels; at most
     10 vertices may remain free.
     """
+    import numpy as np  # only the oracle needs numpy; keep it off CLI start-up
+
     start = time.perf_counter()
     p, q = g.order, g.size
     pairs = list(prefix or ())

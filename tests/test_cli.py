@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semlab.cli as cli_mod
+import semlab.solver as solver_mod
 from semlab import make_cycle, serialize_graph
 from semlab.cli import main
 
@@ -49,6 +55,84 @@ def test_solve_json_config_echo(capsys, monkeypatch):
     assert data["config"]["threads"] == 1  # env var wins
     assert data["witness"]["valence"] == 14
     assert data["interval"] == [14, 14]
+
+
+def test_bad_search_settings_exit_3(capsys, monkeypatch):
+    # SearchConfig is the one check of budgets and thread counts, whichever
+    # command reads them and whether or not the search would start
+    monkeypatch.delenv("SEMLAB_THREADS", raising=False)
+    graph = ["--gen", "two-cycle", "3", "5"]
+    for argv in (["solve", *graph, "--threads", "0"],
+                 ["solve", *graph, "--budget", "0"],
+                 ["sweep", "two-cycle-grid", "--m", "3..3", "--n", "3..3",
+                  "--budget", "0"],
+                 ["valences", *graph, "--threads", "0"],
+                 ["valences", *graph, "--threads", "-1"],
+                 ["valences", *graph, "--budget", "0"],
+                 ["perfect", *graph, "--threads", "0"],
+                 ["perfect", *graph, "--threads", "-1"],
+                 ["perfect", *graph, "--budget", "0"],
+                 ["perfect", "--gen", "cycle", "4", "--budget", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: "), argv
+    for env in ("0", "-2"):
+        monkeypatch.setenv("SEMLAB_THREADS", env)
+        code, out, err = run(capsys, "solve", *graph)
+        assert (code, out) == (3, "") and "threads" in err
+
+
+def test_usage_errors_exit_3(capsys):
+    # argparse's own exit code 2 would read as "budget exceeded"
+    for argv in ([], ["teleport"], ["solve", "--budget", "many"],
+                 ["valences", "--gen", "cycle", "5", "--frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+        assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_cli_leaves_numpy_unimported():
+    # only the oracle needs numpy, and no command runs the oracle
+    code = ("import sys, semlab.cli\n"
+            "assert 'numpy' not in sys.modules, 'on import'\n"
+            "semlab.cli.main(['solve', '--gen', 'cycle', '5', '--threads', '1'])\n"
+            "assert 'numpy' not in sys.modules, 'after solve'\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_perfect_json_traverses_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_sem_set(*args, **kwargs):
+        calls.append(args)
+        return real_sem_set(*args, **kwargs)
+
+    # count the traversals made under either name
+    real_sem_set = solver_mod.sem_set
+    monkeypatch.setattr(cli_mod, "sem_set", counting_sem_set)
+    monkeypatch.setattr(solver_mod, "sem_set", counting_sem_set)
+    # the JSON bytes as printed before the single traversal
+    for argv, want in (
+            (["--gen", "two-cycle", "3", "5"], '{"classification": "perfect", '
+             '"interval": [19, 20], "valence_set": [19, 20]}\n'),
+            (["--g6", "Cs"], '{"classification": "not-perfect", '
+             '"interval": [10, 12], "valence_set": [10, 12]}\n'),
+            (["--gen", "cycle", "4"], '{"classification": "vacuous-not-sem", '
+             '"interval": [], "valence_set": []}\n'),
+            (["--gen", "cycle", "7", "--budget", "10"], '{"classification": '
+             '"unknown", "interval": [19, 19], "valence_set": []}\n')):
+        calls.clear()
+        code, out, _ = run(capsys, "perfect", *argv, "--json", "--threads", "1")
+        assert (code, out) == (0, want)
+        assert len(calls) == 1, argv
 
 
 def test_certificate_pipeline(tmp_path, capsys):

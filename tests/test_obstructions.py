@@ -117,6 +117,8 @@ def test_valence_integrality_three_distinct_empty_window():
     assert v is not None and v.rule == VALENCE_INTEGRALITY
     assert v.params["min_valence"] == [391, 13]
     assert v.params["max_valence"] == [402, 13]
+    assert v.justification == ("no integer lies between the minimum and "
+                               "maximum would-be valences 391/13 and 402/13")
 
 
 def test_check_all_order():

@@ -368,6 +368,66 @@ def test_restricted_search_matches_restricted_oracle():
             assert got.witness.vertex_labels[order[1]] == labs[1]
 
 
+def test_node_counts_are_pinned():
+    # exact counts and witnesses; node counts are deterministic, so any
+    # change to the kernel's assignment step or the task split shows here
+    for (m, n), nodes, witness in (
+            ((3, 9), 266_203, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
+            ((5, 7), 276_605, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
+            ((3, 5), 821, (2, 5, 6, 4, 1, 3, 7)),
+            ((4, 4), 494, (2, 3, 1, 5, 6, 4, 7))):
+        for threads in (1, 2):
+            out = search_sem(make_two_cycle(m, n), SearchConfig(threads=threads))
+            assert out.status == STATUS_SEM, (m, n)
+            assert (out.stats.nodes, out.stats.labelings) == (nodes, 1), (m, n)
+            assert out.witness.vertex_labels == witness
+
+
+def test_pinned_prefix_node_counts():
+    # pinned labels replay through the kernel's own loop but count no nodes
+    g = make_two_cycle(3, 5)
+    order = assignment_order(g)
+    witness = (2, 5, 6, 4, 1, 3, 7)
+    for labs, status, nodes in (
+            ((), STATUS_SEM, 805),
+            ((1,), STATUS_NOT_SEM_EXHAUSTED, 566),
+            ((2,), STATUS_SEM, 237),
+            ((1, 2), STATUS_NOT_SEM_EXHAUSTED, 99),
+            ((2, 5), STATUS_SEM, 52),
+            ((2, 1, 3), STATUS_NOT_SEM_EXHAUSTED, 18),
+            ((1, 2, 3, 5), STATUS_NOT_SEM_EXHAUSTED, 5),
+            ((2, 5, 6, 4), STATUS_SEM, 3),
+            # 1 + 4 repeats the sum 2 + 3 at the fourth pinned vertex
+            ((1, 2, 3, 4, 5), STATUS_NOT_SEM_EXHAUSTED, 0),
+            (witness, STATUS_SEM, 0),
+            ((1, 2, 3, 4, 5, 6, 7), STATUS_NOT_SEM_EXHAUSTED, 0)):
+        for symmetry, threads in ((True, 1), (False, 2)):
+            cfg = SearchConfig(use_obstructions=False, threads=threads,
+                               symmetry_reduction=symmetry)
+            out = search_sem(g, cfg, prefix=list(zip(order, labs)))
+            assert (out.status, out.stats.nodes) == (status, nodes), labs
+            assert out.stats.labelings == (status == STATUS_SEM)
+            if status == STATUS_SEM:
+                assert out.witness.vertex_labels == witness
+    cut = SearchConfig(use_obstructions=False, threads=1, budget=50)
+    out = search_sem(g, cut, prefix=list(zip(order, (2, 5))))
+    assert (out.status, out.stats.nodes) == (STATUS_UNKNOWN_BUDGET_EXCEEDED, 50)
+
+
+def test_pinned_depths_skip_window_check_and_fill():
+    # every task pins depths 0 and 1, where the kernel neither runs the
+    # window-feasibility check nor takes the ascending fill once no edge is
+    # left: both belong to the first free depth, whose nodes count
+    for g, witness, counts in (
+            (Graph(3, ((0, 2),)), (1, 3, 2), (7, 10)),
+            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (30, 40))):
+        for symmetry, nodes in zip((True, False), counts):
+            cfg = SearchConfig(threads=1, symmetry_reduction=symmetry)
+            out = search_sem(g, cfg)
+            assert out.status == STATUS_SEM and out.stats.nodes == nodes
+            assert out.witness.vertex_labels == witness
+
+
 def test_prefix_validation():
     g = make_two_cycle(3, 5)
     with pytest.raises(ValueError):
