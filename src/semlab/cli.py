@@ -16,6 +16,7 @@ import sys
 from .graphs import (
     CactusSpec,
     Graph,
+    GraphError,
     degree_sequence,
     degseq_4_2_realizations,
     make_cactus,
@@ -24,7 +25,7 @@ from .graphs import (
     parse_graph,
     parse_graph6,
 )
-from .labeling import SemLabeling, verify_sem
+from .labeling import LabelingError, SemLabeling, verify_sem
 from .obstructions import check_all
 from .solver import (
     DEFAULT_BUDGET,
@@ -141,7 +142,10 @@ def _config(args, **flags) -> SearchConfig:
             threads = int(env)
         except ValueError as exc:
             raise CliError(f"bad SEMLAB_THREADS value {env!r}") from exc
-    return SearchConfig(budget=args.budget, threads=threads, **flags)
+    try:
+        return SearchConfig(budget=args.budget, threads=threads, **flags)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _load_certificate(path: str) -> SemLabeling:
@@ -429,10 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # bad graphs, labelings, budgets and thread counts raise ValueError
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, GraphError, LabelingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

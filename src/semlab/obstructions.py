@@ -111,7 +111,8 @@ def check_valence_integrality(g: Graph) -> ObstructionVerdict | None:
         a_max = n_hi * (2 * p - n_hi + 1) // 2
         base = d_lo * (p * (p + 1) // 2) + edge_label_total(p, q)
         step = d_hi - d_lo
-        if any((base + step * a) % q == 0 for a in range(a_min, a_max + 1)):
+        hits = [a for a in range(a_min, a_max + 1) if (base + step * a) % q == 0]
+        if hits:
             return None
         return ObstructionVerdict(
             VALENCE_INTEGRALITY,

@@ -386,28 +386,16 @@ def _window_feasible(d, lab, labels_at, used_label, used_sum,
 # --- task construction and the in-order streaming executor ----------------
 
 def _build_tasks(plan: _Plan) -> tuple[list[tuple[int, ...]], int]:
-    """Enumerate feasible (first, second) label prefixes in lexicographic
-    order; returns (prefixes, prefix_nodes_counted)."""
-    p, q = plan.p, plan.q
+    """Enumerate (first, second) label prefixes in lexicographic order;
+    returns (prefixes, prefix_nodes_counted). The tasks' pinned depths
+    reject an infeasible pair without counting a node."""
+    p = plan.p
     if p <= 2:
         return [()], 0
-    prefixes = []
-    nodes = 0
-    q1 = q - 1
-    cap_l = 2 * p - q
-    adjacent = 0 in plan.earlier[1]
-    for l0 in range(1, plan.anchor_cap + 1):
-        nodes += 1
-        for l1 in range(1, p + 1):
-            if l1 == l0:
-                continue
-            nodes += 1
-            if adjacent:
-                s = l0 + l1
-                if max(s - q1, 3) > min(s, cap_l):
-                    continue
-            prefixes.append((l0, l1))
-    return prefixes, nodes
+    prefixes = [(l0, l1) for l0 in range(1, plan.anchor_cap + 1)
+                for l1 in range(1, p + 1) if l1 != l0]
+    # one node per first label and one per (first, second) pair
+    return prefixes, plan.anchor_cap + len(prefixes)
 
 
 @dataclass

@@ -135,15 +135,18 @@ def test_search_statuses():
 
 
 def test_budget_is_deterministic_across_threads():
+    # every graph here has order >= _PARALLEL_MIN_ORDER, so threads > 1 run
+    # the pool; C(3,7) is not SEM and takes 35,797 nodes
+    assert make_two_cycle(3, 7).order >= solver_mod._PARALLEL_MIN_ORDER
     for budget in (17, 400, 9999):
         outs = [
-            search_sem(make_cycle(8),
+            search_sem(make_two_cycle(3, 7),
                        SearchConfig(use_obstructions=False, threads=t,
                                     budget=budget))
-            for t in (1, 2)
+            for t in (1, 2, 4)
         ]
-        assert outs[0].status == outs[1].status
-        assert outs[0].stats.nodes == outs[1].stats.nodes
+        assert {o.status for o in outs} == {STATUS_UNKNOWN_BUDGET_EXCEEDED}
+        assert {o.stats.nodes for o in outs} == {budget}
     # C(3,9) reaches its witness at node 266,203: one node short of it, and
     # exactly at it, where a task's cap meets its sequential allowance
     for budget, status in ((266_202, STATUS_UNKNOWN_BUDGET_EXCEEDED),
@@ -155,9 +158,26 @@ def test_budget_is_deterministic_across_threads():
         assert {o.stats.nodes for o in outs} == {budget}
         assert len({o.witness for o in outs}) == 1
     for budget in (10, 500, 10**9):
-        sets = [sem_set(make_cycle(7), budget=budget, threads=t) for t in (1, 2)]
+        sets = [sem_set(make_cycle(9), budget=budget, threads=t) for t in (1, 2)]
         assert sets[0].values == sets[1].values
         assert sets[0].complete == sets[1].complete
+
+
+def test_collect_traversal_is_deterministic_under_budget_cut():
+    # the pool's collect path (sem_set) cut at, inside and just short of
+    # the end of the C9 traversal, which takes 40,201 nodes
+    g = make_cycle(9)
+    assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+    plan = solver_mod._make_plan(g, symmetry=True)
+    tasks, prefix_nodes = solver_mod._build_tasks(plan)
+    for budget in (500, 20_000, 40_200, 40_201):
+        runs = {t: solver_mod._execute(plan, tasks, prefix_nodes, budget, t,
+                                       collect=True)
+                for t in (1, 2, 4)}
+        assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
+                     e.exceeded) for e in runs.values()}) == 1
+        assert runs[1].exceeded == (budget < 40_201)
+        assert runs[1].nodes == min(budget, 40_201)
 
 
 def test_parallel_work_is_bounded_by_budget():
@@ -303,7 +323,10 @@ def test_symmetry_on_off_same_answers():
 
 
 def test_thread_count_does_not_change_results():
-    for g in (make_two_cycle(3, 5), make_cycle(8), make_two_cycle(4, 4)):
+    # orders 7 and 8 run serially at any thread count; orders 9 and 10 run
+    # the pool, with a witness (C9) and with a full traversal (C(3,7), C10)
+    for g in (make_two_cycle(3, 5), make_cycle(8), make_two_cycle(4, 4),
+              make_cycle(9), make_two_cycle(3, 7), make_cycle(10)):
         one = search_sem(g, SearchConfig(use_obstructions=False, threads=1))
         four = search_sem(g, SearchConfig(use_obstructions=False, threads=4))
         assert one.status == four.status
