@@ -65,6 +65,14 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
                      default="auto", help="file format (default: sniff)")
 
 
+def _add_search_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="node budget (default 1e9)")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="worker count (default: all cores; "
+                          "SEMLAB_THREADS overrides)")
+
+
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
@@ -371,11 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(sub)
     sub.add_argument("--no-obstructions", action="store_true")
     sub.add_argument("--no-symmetry", action="store_true")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="node budget (default 1e9)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker count (default: all cores; "
-                          "SEMLAB_THREADS overrides)")
+    _add_search_args(sub)
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--cert-out", metavar="PATH",
                      help="write the witness certificate JSON here")
@@ -388,15 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("valences", help="realized valence set")
     _add_graph_args(sub)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--threads", type=int, default=None)
+    _add_search_args(sub)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_valences)
 
     sub = subs.add_parser("perfect", help="perfect super edge-magic test")
     _add_graph_args(sub)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--threads", type=int, default=None)
+    _add_search_args(sub)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_perfect)
 
@@ -409,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="range A..B (three-cycle-series; k=4 is an "
                           "order-15 search, expect minutes)")
     sub.add_argument("--order", default="6..9", help="range A..B (degseq-4-2)")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--threads", type=int, default=None)
+    _add_search_args(sub)
     sub.add_argument("--max-order", type=int, default=16,
                      help="refuse rows larger than this (default 16)")
     sub.add_argument("--sigma-max-order", type=int, default=10,

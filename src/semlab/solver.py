@@ -3,10 +3,12 @@
 The search assigns labels 1..p to vertices in a fixed static order
 (descending degree, ties by index). After each assignment every fully
 labeled edge contributes an endpoint sum; a branch dies as soon as a sum
-repeats, the sums stop fitting in any window of q consecutive integers, or
-too few achievable sums remain inside every legal window. Any complete
-bijection that survives is automatically extendable (q distinct sums inside
-a width-(q-1) window must be consecutive), so reaching depth p is a witness.
+repeats or the sums stop fitting in a window of q consecutive integers. A
+graph with more than 2p-3 edges has no labeling at all (Enomoto, Lladó,
+Nakamigawa & Ringel 1998), so there every edge placed kills its branch.
+Any complete bijection that survives is automatically extendable (q
+distinct sums inside a width-(q-1) window must be consecutive), so reaching
+depth p is a witness.
 
 Work splits deterministically on the top two label assignments; each
 subtree is a task. One executor streams the tasks to a worker pool (a pool
@@ -45,9 +47,10 @@ DEFAULT_BUDGET = 10**9
 
 # below this order a worker pool costs more than the whole search. Medians
 # of 5 runs, 1 thread against 2, on a 2-vCPU VM: order-7 solves of C(3,5)
-# and C(4,4) take 1.9 and 1.8 ms against 13.7 and 11.1 ms; order-8 sem_set
-# traversals take 16-18 ms against 25-29 ms, about the pool's start-up
-# cost; order-9 traversals take 63-108 ms against 65-77 ms.
+# and C(4,4) take 2.1-2.3 and 1.5-1.6 ms against 19-23 and 17-18 ms;
+# order-8 sem_set traversals take 14-16 ms against 27-39 ms, about the
+# pool's start-up cost; order-9 traversals break even (56-68 ms against
+# 51-98 ms), and order-10 ones gain (222-240 ms against 128-155 ms).
 _PARALLEL_MIN_ORDER = 9
 
 
@@ -137,10 +140,6 @@ class _Plan:
     earlier: tuple[tuple[int, ...], ...]
     # edges fully labeled once depth d is assigned
     placed_cum: tuple[int, ...]
-    # edges with both endpoints still unassigned once depth d is assigned
-    uu_after: tuple[int, ...]
-    # assigned positions that still have an unassigned neighbor at depth d
-    frontier: tuple[tuple[int, ...], ...]
     # largest label tried at depth 0: (p+1)//2 under complement symmetry
     anchor_cap: int
 
@@ -149,21 +148,13 @@ def _make_plan(g: Graph, symmetry: bool) -> _Plan:
     p = g.order
     order = assignment_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    edge_pos = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges]
     earlier = [[] for _ in range(p)]
-    nbr_pos = [[] for _ in range(p)]
-    for lo, hi in edge_pos:
-        earlier[hi].append(lo)
-        nbr_pos[lo].append(hi)
-        nbr_pos[hi].append(lo)
+    for u, v in g.edges:
+        earlier[max(pos[u], pos[v])].append(min(pos[u], pos[v]))
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier),
         placed_cum=tuple(itertools.accumulate(len(e) for e in earlier)),
-        uu_after=tuple(sum(1 for lo, _ in edge_pos if lo > d) for d in range(p)),
-        frontier=tuple(
-            tuple(j for j in range(d + 1) if nbr_pos[j] and max(nbr_pos[j]) > d)
-            for d in range(p)),
         anchor_cap=(p + 1) // 2 if symmetry else p)
 
 
@@ -197,9 +188,9 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     ``collect`` gathers every valence over a full traversal; otherwise the
     task stops at its first witness. ``idx`` is its place in prefix order."""
     p, q, earlier, placed_cum = plan.p, plan.q, plan.earlier, plan.placed_cum
-    uu_after, frontier, anchor_cap = plan.uu_after, plan.frontier, plan.anchor_cap
     q1 = q - 1
-    cap_l = 2 * p - q
+    # no labeling exists (Enomoto et al. 1998): any edge placed ends a branch
+    too_dense = q > 2 * p - 3
 
     used_label = bytearray(p + 2)
     used_sum = bytearray(2 * p + 2)
@@ -211,13 +202,13 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     abort_box = _WORKER_ABORT
     # pinned depths try only their label. Like the prefix enumeration that
     # made them, they count no nodes (the counter starts below zero by the
-    # prefix length) and run neither the window check nor the ascending fill
+    # prefix length) and never take the ascending fill
     start = len(prefix_labels)
     ctr = [-start, 0]  # nodes, labelings
     witness_box: list = [None]  # witness labels by vertex
     valences: set[int] = set()
     choices = [(lab,) for lab in prefix_labels] + [
-        range(1, (anchor_cap if d == 0 else p) + 1) for d in range(start, p)]
+        range(1, (plan.anchor_cap if d == 0 else p) + 1) for d in range(start, p)]
     pos = plan.pos
 
     def finish(labels_full, k, covered=1) -> bool:
@@ -239,12 +230,11 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     def rec(d, cmin, cmax,
             earlier=earlier, placed_cum=placed_cum, used_label=used_label,
             used_sum=used_sum, labels_at=labels_at, added_rows=added_rows,
-            p=p, q=q, q1=q1, cap_l=cap_l, cap=cap,
+            p=p, q=q, q1=q1, too_dense=too_dense, cap=cap,
             abort_box=abort_box, ctr=ctr) -> bool:
         nodes = ctr[0]
         earlier_d = earlier[d]
         now_placed = placed_cum[d]
-        check_window = d >= start and 0 < now_placed < q
         added = added_rows[d]
         for lab in choices[d]:
             if used_label[lab]:
@@ -272,21 +262,8 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                     new_min = s
                 if s > new_max:
                     new_max = s
-            if ok and n_added:
-                if new_max - new_min > q1:
-                    ok = False
-                else:
-                    lo_l = new_max - q1
-                    if lo_l < 3:
-                        lo_l = 3
-                    hi_l = new_min if new_min < cap_l else cap_l
-                    if lo_l > hi_l:
-                        ok = False
-            if ok and check_window:
-                ok = _window_feasible(
-                    d, lab, labels_at, used_label, used_sum,
-                    new_min, new_max, now_placed, q, q1, cap_l, p,
-                    uu_after, frontier)
+            if ok and n_added and (new_max - new_min > q1 or too_dense):
+                ok = False
             if ok:
                 used_label[lab] = 1
                 labels_at[d] = lab
@@ -318,69 +295,6 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # a prefix that fails, or a cap below zero, stops before any counted node
     return _TaskResult(max(ctr[0], 0), ctr[1], exhausted, witness_box[0],
                        tuple(sorted(valences)))
-
-
-def _window_feasible(d, lab, labels_at, used_label, used_sum,
-                     cmin, cmax, placed, q, q1, cap_l, p,
-                     uu_after, frontier) -> bool:
-    """Conservative check that enough achievable sums remain in some legal
-    q-window. Never rejects a feasible node; may pass infeasible ones.
-
-    The candidate label is not yet marked used at this point, so it is
-    excluded from the unused-label scan explicitly.
-    """
-    r = q - placed
-    uu = uu_after[d]
-    lo_l = cmax - q1
-    if lo_l < 3:
-        lo_l = 3
-    hi_l = cmin if cmin < cap_l else cap_l
-    u_lo1 = u_lo2 = 0
-    for x in range(1, p + 1):
-        if not used_label[x] and x != lab:
-            if not u_lo1:
-                u_lo1 = x
-            else:
-                u_lo2 = x
-                break
-    u_hi1 = u_hi2 = 0
-    for x in range(p, 0, -1):
-        if not used_label[x] and x != lab:
-            if not u_hi1:
-                u_hi1 = x
-            else:
-                u_hi2 = x
-                break
-    min_f = 1 << 30
-    max_f = 0
-    if uu and u_lo2:
-        min_f = u_lo1 + u_lo2
-        max_f = u_hi1 + u_hi2
-    if r > uu and frontier[d]:
-        fm = fM = lab if frontier[d][0] == d else labels_at[frontier[d][0]]
-        for j in frontier[d]:
-            x = lab if j == d else labels_at[j]
-            if x < fm:
-                fm = x
-            if x > fM:
-                fM = x
-        if fm + u_lo1 < min_f:
-            min_f = fm + u_lo1
-        if fM + u_hi1 > max_f:
-            max_f = fM + u_hi1
-    if max_f == 0:
-        return True
-    lo = lo_l if lo_l > min_f else min_f
-    hi = hi_l + q1
-    if max_f < hi:
-        hi = max_f
-    avail = 0
-    for s in range(lo, hi + 1):
-        if not used_sum[s]:
-            avail += 1
-            if avail >= r:
-                return True
-    return False
 
 
 # --- task construction and the in-order streaming executor ----------------
@@ -602,10 +516,11 @@ def is_perfect_sem(g: Graph, budget: int = DEFAULT_BUDGET,
 # --- independent brute-force oracle ----------------------------------------
 
 _ORACLE_MAX_FREE = 10
+_ORACLE_CHUNK = 100_000  # bijections tested per vectorized block
 
 
-def oracle_search(g: Graph, *, prefix: Iterable[tuple[int, int]] | None = None,
-                  chunk_size: int = 100_000) -> SearchOutcome:
+def oracle_search(g: Graph, *,
+                  prefix: Iterable[tuple[int, int]] | None = None) -> SearchOutcome:
     """Plain enumeration of every bijection, no pruning, no symmetry.
 
     Kept deliberately independent of the backtracking engine: labels are
@@ -657,7 +572,7 @@ def oracle_search(g: Graph, *, prefix: Iterable[tuple[int, int]] | None = None,
     valences: set[int] = set()
     perm_iter = itertools.permutations(free_labels)
     while True:
-        block = list(itertools.islice(perm_iter, chunk_size))
+        block = list(itertools.islice(perm_iter, _ORACLE_CHUNK))
         if not block:
             break
         rows = np.tile(base, (len(block), 1))

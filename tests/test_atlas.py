@@ -1,0 +1,27 @@
+"""Correctness floor: every graph of the networkx atlas (all graphs on at
+most 7 vertices, up to isomorphism) against the brute-force oracle."""
+
+import networkx as nx
+
+from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, oracle_search,
+                    search_sem, sem_set)
+
+SEQ = SearchConfig(use_obstructions=False, threads=1)
+
+
+def atlas_graphs():
+    for index, a in enumerate(nx.graph_atlas_g()):
+        if a.number_of_edges():
+            yield index, Graph(a.number_of_nodes(), tuple(a.edges()))
+
+
+def test_search_sem_set_and_obstructions_agree_with_oracle():
+    checked = 0
+    for index, g in atlas_graphs():
+        ref = oracle_search(g)
+        assert search_sem(g, SEQ).status == ref.status, index
+        assert sem_set(g, threads=1).values == ref.valence_set.values, index
+        if ref.status == STATUS_SEM:
+            assert check_all(g) is None, index
+        checked += 1
+    assert checked == 1_245

@@ -136,7 +136,7 @@ def test_search_statuses():
 
 def test_budget_is_deterministic_across_threads():
     # every graph here has order >= _PARALLEL_MIN_ORDER, so threads > 1 run
-    # the pool; C(3,7) is not SEM and takes 35,797 nodes
+    # the pool; C(3,7) is not SEM and takes 55,519 nodes
     assert make_two_cycle(3, 7).order >= solver_mod._PARALLEL_MIN_ORDER
     for budget in (17, 400, 9999):
         outs = [
@@ -147,10 +147,10 @@ def test_budget_is_deterministic_across_threads():
         ]
         assert {o.status for o in outs} == {STATUS_UNKNOWN_BUDGET_EXCEEDED}
         assert {o.stats.nodes for o in outs} == {budget}
-    # C(3,9) reaches its witness at node 266,203: one node short of it, and
+    # C(3,9) reaches its witness at node 399,634: one node short of it, and
     # exactly at it, where a task's cap meets its sequential allowance
-    for budget, status in ((266_202, STATUS_UNKNOWN_BUDGET_EXCEEDED),
-                           (266_203, STATUS_SEM)):
+    for budget, status in ((399_633, STATUS_UNKNOWN_BUDGET_EXCEEDED),
+                           (399_634, STATUS_SEM)):
         outs = [search_sem(make_two_cycle(3, 9),
                            SearchConfig(threads=t, budget=budget))
                 for t in (1, 2, 4)]
@@ -165,19 +165,19 @@ def test_budget_is_deterministic_across_threads():
 
 def test_collect_traversal_is_deterministic_under_budget_cut():
     # the pool's collect path (sem_set) cut at, inside and just short of
-    # the end of the C9 traversal, which takes 40,201 nodes
+    # the end of the C9 traversal, which takes 63,044 nodes
     g = make_cycle(9)
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
     plan = solver_mod._make_plan(g, symmetry=True)
     tasks, prefix_nodes = solver_mod._build_tasks(plan)
-    for budget in (500, 20_000, 40_200, 40_201):
+    for budget in (500, 30_000, 63_043, 63_044):
         runs = {t: solver_mod._execute(plan, tasks, prefix_nodes, budget, t,
                                        collect=True)
                 for t in (1, 2, 4)}
         assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
                      e.exceeded) for e in runs.values()}) == 1
-        assert runs[1].exceeded == (budget < 40_201)
-        assert runs[1].nodes == min(budget, 40_201)
+        assert runs[1].exceeded == (budget < 63_044)
+        assert runs[1].nodes == min(budget, 63_044)
 
 
 def test_parallel_work_is_bounded_by_budget():
@@ -393,17 +393,32 @@ def test_restricted_search_matches_restricted_oracle():
 
 def test_node_counts_are_pinned():
     # exact counts and witnesses; node counts are deterministic, so any
-    # change to the kernel's assignment step or the task split shows here
+    # change to the kernel's pruning, assignment step or task split shows here
     for (m, n), nodes, witness in (
-            ((3, 9), 266_203, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
-            ((5, 7), 276_605, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
-            ((3, 5), 821, (2, 5, 6, 4, 1, 3, 7)),
-            ((4, 4), 494, (2, 3, 1, 5, 6, 4, 7))):
+            ((3, 9), 399_634, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
+            ((5, 7), 414_286, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
+            ((3, 5), 1_216, (2, 5, 6, 4, 1, 3, 7)),
+            ((4, 4), 820, (2, 3, 1, 5, 6, 4, 7))):
         for threads in (1, 2):
             out = search_sem(make_two_cycle(m, n), SearchConfig(threads=threads))
             assert out.status == STATUS_SEM, (m, n)
             assert (out.stats.nodes, out.stats.labelings) == (nodes, 1), (m, n)
             assert out.witness.vertex_labels == witness
+    # these graphs have q > 2p-3 edges: the kernel kills every node that
+    # places an edge, and only those. In the last one, K(2,4) plus two
+    # edges, the first two vertices in assignment order are not adjacent,
+    # so its tasks pass their pinned depths and count nodes at depth 2
+    dense = [Graph(k, tuple(itertools.combinations(range(k), 2))) for k in (5, 6)]
+    dense.append(Graph(6, tuple((a, b) for a in (0, 1) for b in range(2, 6))
+                       + ((2, 3), (4, 5))))
+    for g, counts in zip(dense, ((15, 25), (18, 36), (78, 156))):
+        assert g.size > 2 * g.order - 3
+        for symmetry, nodes in zip((True, False), counts):
+            cfg = SearchConfig(use_obstructions=False, threads=1,
+                               symmetry_reduction=symmetry)
+            out = search_sem(g, cfg)
+            assert (out.status, out.stats.nodes) == (
+                STATUS_NOT_SEM_EXHAUSTED, nodes), g
 
 
 def test_pinned_prefix_node_counts():
@@ -412,13 +427,13 @@ def test_pinned_prefix_node_counts():
     order = assignment_order(g)
     witness = (2, 5, 6, 4, 1, 3, 7)
     for labs, status, nodes in (
-            ((), STATUS_SEM, 805),
-            ((1,), STATUS_NOT_SEM_EXHAUSTED, 566),
-            ((2,), STATUS_SEM, 237),
-            ((1, 2), STATUS_NOT_SEM_EXHAUSTED, 99),
-            ((2, 5), STATUS_SEM, 52),
-            ((2, 1, 3), STATUS_NOT_SEM_EXHAUSTED, 18),
-            ((1, 2, 3, 5), STATUS_NOT_SEM_EXHAUSTED, 5),
+            ((), STATUS_SEM, 1_200),
+            ((1,), STATUS_NOT_SEM_EXHAUSTED, 732),
+            ((2,), STATUS_SEM, 466),
+            ((1, 2), STATUS_NOT_SEM_EXHAUSTED, 118),
+            ((2, 5), STATUS_SEM, 90),
+            ((2, 1, 3), STATUS_NOT_SEM_EXHAUSTED, 26),
+            ((1, 2, 3, 5), STATUS_NOT_SEM_EXHAUSTED, 6),
             ((2, 5, 6, 4), STATUS_SEM, 3),
             # 1 + 4 repeats the sum 2 + 3 at the fourth pinned vertex
             ((1, 2, 3, 4, 5), STATUS_NOT_SEM_EXHAUSTED, 0),
@@ -437,13 +452,13 @@ def test_pinned_prefix_node_counts():
     assert (out.status, out.stats.nodes) == (STATUS_UNKNOWN_BUDGET_EXCEEDED, 50)
 
 
-def test_pinned_depths_skip_window_check_and_fill():
-    # every task pins depths 0 and 1, where the kernel neither runs the
-    # window-feasibility check nor takes the ascending fill once no edge is
-    # left: both belong to the first free depth, whose nodes count
+def test_pinned_depths_skip_fill():
+    # every task pins depths 0 and 1, where the kernel never takes the
+    # ascending fill once no edge is left: the fill belongs to the first
+    # free depth, whose nodes count
     for g, witness, counts in (
             (Graph(3, ((0, 2),)), (1, 3, 2), (7, 10)),
-            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (30, 40))):
+            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (44, 54))):
         for symmetry, nodes in zip((True, False), counts):
             cfg = SearchConfig(threads=1, symmetry_reduction=symmetry)
             out = search_sem(g, cfg)
