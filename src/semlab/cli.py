@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .graphs import (
@@ -48,6 +47,9 @@ EXIT_INPUT_ERROR = 3
 
 _EDGELESS_NOTE = "trivially super edge-magic, valence undefined"
 
+# sweep enumerates valence sets up to this order; larger rows read "skipped"
+_SIGMA_MAX_ORDER = 10
+
 
 class CliError(Exception):
     """Input problem worth exit code 3."""
@@ -61,16 +63,13 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
                      help="cactus attachments, one per cycle after the first "
                           "(default: chain at position 1)")
     sub.add_argument("--g6", metavar="STRING", help="graph6 string")
-    sub.add_argument("--format", choices=["edge-list", "graph6", "auto"],
-                     default="auto", help="file format (default: sniff)")
 
 
 def _add_search_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="node budget (default 1e9)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker count (default: all cores; "
-                          "SEMLAB_THREADS overrides)")
+                     help="worker count (default: all cores)")
 
 
 def _parse_range(text: str) -> range:
@@ -116,6 +115,7 @@ def _gen_graph(args) -> Graph:
 
 
 def _sniff_format(text: str) -> str:
+    """An edge list starts with its order; graph6 bytes are never digits."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,23 +135,15 @@ def load_graph(args) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {args.path}: {exc}") from exc
-        fmt = args.format if args.format != "auto" else _sniff_format(text)
-        return parse_graph(text, fmt)
+        return parse_graph(text, _sniff_format(text))
     raise CliError("no graph given: use --gen, --g6, or a file path")
 
 
 def _config(args, **flags) -> SearchConfig:
-    """Search settings from --budget and --threads (SEMLAB_THREADS overrides
-    the flag). SearchConfig rejects a bad budget or thread count."""
-    threads = args.threads
-    env = os.environ.get("SEMLAB_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise CliError(f"bad SEMLAB_THREADS value {env!r}") from exc
+    """Search settings from --budget and --threads. SearchConfig rejects a
+    bad budget or thread count."""
     try:
-        return SearchConfig(budget=args.budget, threads=threads, **flags)
+        return SearchConfig(budget=args.budget, threads=args.threads, **flags)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -191,8 +183,7 @@ _EXIT_BY_STATUS = {
 
 def cmd_solve(args) -> int:
     g = load_graph(args)
-    cfg = _config(args, use_obstructions=not args.no_obstructions,
-                  symmetry_reduction=not args.no_symmetry)
+    cfg = _config(args, use_obstructions=not args.no_obstructions)
     out = search_sem(g, cfg)
     if args.cert_out and out.witness is not None:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
@@ -284,8 +275,6 @@ def _sweep_graphs(args):
         for order in _parse_range(args.order):
             for name, g in degseq_4_2_realizations(order):
                 yield f"order={order};graph={name}", g
-    else:
-        raise CliError(f"unknown sweep family {args.family!r}")
 
 
 def cmd_sweep(args) -> int:
@@ -307,7 +296,7 @@ def cmd_sweep(args) -> int:
         hi = "" if (iv is None or iv.empty) else str(iv.hi)
         if out.status in (STATUS_NOT_SEM_EXHAUSTED, STATUS_NOT_SEM_OBSTRUCTION):
             sigma = ""  # proven empty
-        elif out.status == STATUS_SEM and g.order <= args.sigma_max_order:
+        elif out.status == STATUS_SEM and g.order <= _SIGMA_MAX_ORDER:
             vs = sem_set(g, cfg.budget, cfg.threads)
             sigma = "|".join(str(v) for v in vs.values) if vs.complete else "skipped"
         else:
@@ -378,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("solve", help="search for a labeling")
     _add_graph_args(sub)
     sub.add_argument("--no-obstructions", action="store_true")
-    sub.add_argument("--no-symmetry", action="store_true")
     _add_search_args(sub)
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--cert-out", metavar="PATH",
@@ -414,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_args(sub)
     sub.add_argument("--max-order", type=int, default=16,
                      help="refuse rows larger than this (default 16)")
-    sub.add_argument("--sigma-max-order", type=int, default=10,
-                     help="skip valence-set enumeration above this order")
     sub.add_argument("--timing", action="store_true",
                      help="append a wall-clock column (breaks byte-for-byte "
                           "reproducibility)")

@@ -76,7 +76,6 @@ class SearchStats:
 @dataclass(frozen=True)
 class SearchConfig:
     use_obstructions: bool = True
-    symmetry_reduction: bool = True
     budget: int = DEFAULT_BUDGET
     threads: int | None = None  # None = all available cores
 
@@ -114,7 +113,6 @@ class SearchOutcome:
                       "millis": self.stats.millis},
             "config": {
                 "use_obstructions": self.config.use_obstructions,
-                "symmetry_reduction": self.config.symmetry_reduction,
                 "budget": self.config.budget,
                 "threads": self.config.resolved_threads(),
                 "prefix": [list(t) for t in self.prefix] if self.prefix else None,
@@ -140,11 +138,9 @@ class _Plan:
     earlier: tuple[tuple[int, ...], ...]
     # edges fully labeled once depth d is assigned
     placed_cum: tuple[int, ...]
-    # largest label tried at depth 0: (p+1)//2 under complement symmetry
-    anchor_cap: int
 
 
-def _make_plan(g: Graph, symmetry: bool) -> _Plan:
+def _make_plan(g: Graph) -> _Plan:
     p = g.order
     order = assignment_order(g)
     pos = {v: i for i, v in enumerate(order)}
@@ -154,8 +150,7 @@ def _make_plan(g: Graph, symmetry: bool) -> _Plan:
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier),
-        placed_cum=tuple(itertools.accumulate(len(e) for e in earlier)),
-        anchor_cap=(p + 1) // 2 if symmetry else p)
+        placed_cum=tuple(itertools.accumulate(len(e) for e in earlier)))
 
 
 @dataclass(frozen=True)
@@ -207,8 +202,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     ctr = [-start, 0]  # nodes, labelings
     witness_box: list = [None]  # witness labels by vertex
     valences: set[int] = set()
-    choices = [(lab,) for lab in prefix_labels] + [
-        range(1, (plan.anchor_cap if d == 0 else p) + 1) for d in range(start, p)]
+    choices = [(lab,) for lab in prefix_labels] + [range(1, p + 1)] * (p - start)
     pos = plan.pos
 
     def finish(labels_full, k, covered=1) -> bool:
@@ -299,17 +293,18 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
 
 # --- task construction and the in-order streaming executor ----------------
 
-def _build_tasks(plan: _Plan) -> tuple[list[tuple[int, ...]], int]:
+def _build_tasks(p: int) -> tuple[list[tuple[int, ...]], int]:
     """Enumerate (first, second) label prefixes in lexicographic order;
     returns (prefixes, prefix_nodes_counted). The tasks' pinned depths
     reject an infeasible pair without counting a node."""
-    p = plan.p
-    if p <= 2:
-        return [()], 0
-    prefixes = [(l0, l1) for l0 in range(1, plan.anchor_cap + 1)
+    # complement symmetry: f and p+1-f give consecutive edge sums together,
+    # so first labels up to (p+1)//2 meet every labeling or its complement.
+    # sem_set's duality closure relies on this cap to recover the rest
+    first_max = (p + 1) // 2
+    prefixes = [(l0, l1) for l0 in range(1, first_max + 1)
                 for l1 in range(1, p + 1) if l1 != l0]
     # one node per first label and one per (first, second) pair
-    return prefixes, plan.anchor_cap + len(prefixes)
+    return prefixes, first_max + len(prefixes)
 
 
 @dataclass
@@ -335,14 +330,21 @@ class _InlinePool(Executor):
         return future
 
 
-def _execute(plan: _Plan, tasks, prefix_nodes: int, budget: int, threads: int,
-             collect: bool) -> _EngineResult:
-    """Run the tasks, at most a window ahead of an in-order replay that
-    applies sequential budget rules. A task's cap is the budget less the
-    prefix nodes and the nodes of every finished, exhausted task before it:
-    never below its sequential allowance, so a task that hits its cap proves
-    a sequential run would run out of budget too. Once the replay stops, at
-    the first witness or at the budget cut, tasks past the cut quit."""
+def _execute(g: Graph, budget: int, threads: int, collect: bool,
+             prefix: tuple[int, ...] | None = None) -> _EngineResult:
+    """Run the tasks of ``_build_tasks``, or the one task that ``prefix``
+    (labels in assignment order) pins, at most a window ahead of an in-order
+    replay that applies sequential budget rules. A task's cap is the budget
+    less the prefix nodes and the nodes of every finished, exhausted task
+    before it: never below its sequential allowance, so a task that hits its
+    cap proves a sequential run would run out of budget too. Once the replay
+    stops, at the first witness or at the budget cut, tasks past the cut
+    quit."""
+    plan = _make_plan(g)
+    if prefix is None:
+        tasks, prefix_nodes = _build_tasks(plan.p)
+    else:
+        tasks, prefix_nodes = [prefix], 0
     out = _EngineResult(nodes=prefix_nodes)
     if prefix_nodes > budget:
         out.nodes, out.exceeded = budget, True
@@ -415,12 +417,13 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
 
     With ``use_obstructions`` an analytic verdict short-circuits the search.
     ``prefix`` pins the labels of the first vertices in assignment order and
-    restricts the search to that subspace (symmetry reduction does not apply
-    then); it exists for restricted cross-checks against the oracle.
+    searches that subspace whole, as one task without the split's symmetry
+    cap (so ``prefix=()`` searches every bijection); it exists for restricted
+    cross-checks against the oracle.
     """
     cfg = config or SearchConfig()
     start = time.perf_counter()
-    p, q = g.order, g.size
+    q = g.size
 
     def outcome(status, witness=None, obstruction=None, engine=None,
                 norm_prefix=None):
@@ -440,13 +443,8 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
             return outcome(STATUS_NOT_SEM_OBSTRUCTION, obstruction=verdict)
 
     norm = None if prefix is None else _normalize_prefix(g, prefix)
-    plan = _make_plan(g, cfg.symmetry_reduction and norm is None)
-    if norm is None:
-        tasks, prefix_nodes = _build_tasks(plan)
-    else:
-        tasks, prefix_nodes = [tuple(lab for _, lab in norm)], 0
-    engine = _execute(plan, tasks, prefix_nodes, cfg.budget,
-                      cfg.resolved_threads(), False)
+    engine = _execute(g, cfg.budget, cfg.resolved_threads(), False,
+                      None if norm is None else tuple(lab for _, lab in norm))
 
     if engine.witness is not None:
         cert = extend_to_sem(g, engine.witness)
@@ -464,9 +462,9 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
             threads: int | None = None) -> ValenceSet:
     """All valences realized by some labeling of g (full traversal).
 
-    Searches the half-space with the anchor label restricted and closes the
-    result under complement duality, which covers the full bijection space
-    exactly. An empty valence interval short-circuits to the empty set.
+    Searches the tasks of ``_build_tasks``, whose first label is at most
+    (p+1)//2, and closes the result under complement duality, which covers
+    the full bijection space exactly. An empty interval short-circuits.
     """
     # SearchConfig rejects a budget or thread count below 1
     threads = SearchConfig(budget=budget, threads=threads).resolved_threads()
@@ -476,9 +474,7 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     interval = sem_interval(g)
     if interval.empty:
         return ValenceSet((), True)
-    plan = _make_plan(g, symmetry=True)
-    tasks, prefix_nodes = _build_tasks(plan)
-    engine = _execute(plan, tasks, prefix_nodes, budget, threads, True)
+    engine = _execute(g, budget, threads, True)
     values = set(engine.valences)
     values.update(dual_valence(p, q, k) for k in engine.valences)
     if not values <= set(interval.values()):
@@ -547,8 +543,7 @@ def oracle_search(g: Graph, *,
             f"oracle enumeration limited to {_ORACLE_MAX_FREE} free vertices, "
             f"got {len(free_vertices)}")
     norm_prefix = tuple(sorted(fixed.items())) if fixed else None
-    cfg = SearchConfig(use_obstructions=False, symmetry_reduction=False,
-                       threads=1)
+    cfg = SearchConfig(use_obstructions=False, threads=1)
 
     def outcome(status, witness=None, valence_set=None, tested=0):
         millis = round((time.perf_counter() - start) * 1000.0, 3)
@@ -579,11 +574,8 @@ def oracle_search(g: Graph, *,
         if free_vertices:
             rows[:, free_vertices] = np.asarray(block, dtype=np.int16)
         sums = rows[:, us] + rows[:, vs]
-        if q == 1:
-            mask = np.ones(len(block), dtype=bool)
-        else:
-            ordered = np.sort(sums, axis=1)
-            mask = (np.diff(ordered, axis=1) == 1).all(axis=1)
+        # one edge: diff has no columns and all() is True, as it should be
+        mask = (np.diff(np.sort(sums, axis=1), axis=1) == 1).all(axis=1)
         if mask.any():
             kvals = p + q + sums[mask].min(axis=1)
             valences.update(int(k) for k in np.unique(kvals))

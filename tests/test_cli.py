@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -46,21 +48,23 @@ def test_solve_edgeless(tmp_path, capsys):
 
 
 def test_solve_json_config_echo(capsys, monkeypatch):
-    monkeypatch.setenv("SEMLAB_THREADS", "1")
+    # --threads is the one way to set the worker count; the environment
+    # variable that once overrode it is ignored
+    monkeypatch.setenv("SEMLAB_THREADS", "0")
     code, out, _ = run(capsys, "solve", "--gen", "cycle", "5", "--json",
-                       "--threads", "7")
+                       "--threads", "1")
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "SEM"
-    assert data["config"]["threads"] == 1  # env var wins
+    assert data["config"] == {"use_obstructions": True, "budget": 10**9,
+                              "threads": 1, "prefix": None}
     assert data["witness"]["valence"] == 14
     assert data["interval"] == [14, 14]
 
 
-def test_bad_search_settings_exit_3(capsys, monkeypatch):
+def test_bad_search_settings_exit_3(capsys):
     # SearchConfig is the one check of budgets and thread counts, whichever
     # command reads them and whether or not the search would start
-    monkeypatch.delenv("SEMLAB_THREADS", raising=False)
     graph = ["--gen", "two-cycle", "3", "5"]
     for argv in (["solve", *graph, "--threads", "0"],
                  ["solve", *graph, "--budget", "0"],
@@ -76,10 +80,6 @@ def test_bad_search_settings_exit_3(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: "), argv
-    for env in ("0", "-2"):
-        monkeypatch.setenv("SEMLAB_THREADS", env)
-        code, out, err = run(capsys, "solve", *graph)
-        assert (code, out) == (3, "") and "threads" in err
 
 
 def test_usage_errors_exit_3(capsys):
@@ -174,6 +174,19 @@ def test_graph_inputs(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(g6path), "--threads", "1")
     assert code == 0  # sniffed as graph6
 
+    # the format is sniffed from the first line that is not a comment
+    g6path.write_text(">>graph6<<" + serialize_graph(make_cycle(5), "graph6"))
+    code, out, _ = run(capsys, "solve", str(g6path), "--threads", "1")
+    assert code == 0 and "order 5, size 5" in out
+    path.write_text("# a triangle\n  # indented comment\n\n"
+                    + serialize_graph(make_cycle(3), "edge-list"))
+    code, out, _ = run(capsys, "solve", str(path), "--threads", "1")
+    assert code == 0 and "order 3, size 3" in out
+    # an edge where the order should be is neither format
+    path.write_text("5 6\n0 1\n")
+    code, out, err = run(capsys, "solve", str(path), "--threads", "1")
+    assert (code, out) == (3, "") and err.startswith("error: ")
+
     code, _, err = run(capsys, "solve")
     assert code == 3 and "no graph" in err
 
@@ -185,6 +198,39 @@ def test_graph_inputs(tmp_path, capsys):
 
     code, _, err = run(capsys, "solve", str(tmp_path / "missing.g6"))
     assert code == 3
+
+
+# every command's options and every search setting. A setting added or
+# removed must change this table, so that it shows up in review
+OPTIONS = {
+    "check": ["path", "--gen", "--attach", "--g6", "--cert"],
+    "solve": ["path", "--gen", "--attach", "--g6", "--no-obstructions",
+              "--budget", "--threads", "--json", "--cert-out"],
+    "interval": ["path", "--gen", "--attach", "--g6", "--json"],
+    "valences": ["path", "--gen", "--attach", "--g6", "--budget", "--threads",
+                 "--json"],
+    "perfect": ["path", "--gen", "--attach", "--g6", "--budget", "--threads",
+                "--json"],
+    "sweep": ["family", "--m", "--n", "--k", "--order", "--budget",
+              "--threads", "--max-order", "--timing", "--output"],
+    "render": ["path", "--gen", "--attach", "--g6", "--cert", "--output"],
+}
+
+
+def test_option_inventory():
+    parser = cli_mod.build_parser()
+    (subs,) = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    found = {name: [a.option_strings[-1] if a.option_strings else a.dest
+                    for a in sub._actions if a.dest != "help"]
+             for name, sub in subs.choices.items()}
+    assert found == OPTIONS
+    assert [f.name for f in dataclasses.fields(solver_mod.SearchConfig)] == [
+        "use_obstructions", "budget", "threads"]
+    # nor does any setting come from the environment
+    for module in Path(cli_mod.__file__).parent.glob("*.py"):
+        text = module.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, module.name
 
 
 def test_gen_cactus(capsys):

@@ -168,11 +168,8 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
     # the end of the C9 traversal, which takes 63,044 nodes
     g = make_cycle(9)
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
-    plan = solver_mod._make_plan(g, symmetry=True)
-    tasks, prefix_nodes = solver_mod._build_tasks(plan)
     for budget in (500, 30_000, 63_043, 63_044):
-        runs = {t: solver_mod._execute(plan, tasks, prefix_nodes, budget, t,
-                                       collect=True)
+        runs = {t: solver_mod._execute(g, budget, t, collect=True)
                 for t in (1, 2, 4)}
         assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
                      e.exceeded) for e in runs.values()}) == 1
@@ -181,13 +178,13 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
 
 
 def test_parallel_work_is_bounded_by_budget():
-    # C(3,13) needs ~286M nodes, so without lowered caps and a stop at the
-    # cut each of its 112 tasks could visit the whole budget
+    # C(3,13) takes 397,588,338 nodes, so without lowered caps and a stop at
+    # the cut each of its 112 tasks could visit the whole budget
     budget = 20_000
-    plan = solver_mod._make_plan(make_two_cycle(3, 13), symmetry=True)
-    tasks, prefix_nodes = solver_mod._build_tasks(plan)
-    engine = solver_mod._execute(plan, tasks, prefix_nodes, budget, 2,
-                                 collect=False)
+    g = make_two_cycle(3, 13)
+    tasks, prefix_nodes = solver_mod._build_tasks(g.order)
+    assert len(tasks) == 112
+    engine = solver_mod._execute(g, budget, 2, collect=False)
     assert engine.exceeded and engine.nodes == budget
     window = solver_mod._WINDOW_PER_WORKER * 2
     assert budget - prefix_nodes <= engine.visited <= (window + 1) * budget
@@ -278,6 +275,13 @@ def test_oracle_examples():
     assert out.status == STATUS_NOT_SEM_EXHAUSTED
     assert out.stats.labelings == math.factorial(5)
     assert oracle_search(Graph(3, ())).status == STATUS_TRIVIAL_EDGELESS
+    # one edge: every bijection has one sum, trivially consecutive
+    for g, valences in ((Graph(2, ((0, 1),)), (6,)),
+                        (Graph(4, ((1, 3),)), (8, 9, 10, 11, 12))):
+        out = oracle_search(g)
+        assert out.status == STATUS_SEM
+        assert out.valence_set.values == valences
+        assert out.stats.labelings == math.factorial(g.order)
 
 
 def test_oracle_rejects_large_free_space():
@@ -309,13 +313,25 @@ def test_oracle_equivalence_small_corpus():
             assert sem_set(g, threads=1).values == ref.valence_set.values
 
 
+def test_cycles_are_sem_iff_odd():
+    # a known fact about the paper's family: C_n is super edge-magic exactly
+    # when n is odd. Searched without obstructions; C10 exhausts in 280,694
+    # nodes
+    for n in range(3, 12):
+        out = search_sem(make_cycle(n), SEQ)
+        want = STATUS_SEM if n % 2 else STATUS_NOT_SEM_EXHAUSTED
+        assert out.status == want, n
+        if out.witness is not None:
+            assert verify_sem(out.graph, out.witness), n
+
+
 def test_symmetry_on_off_same_answers():
+    # the task split's complement-symmetry cap against the whole space,
+    # searched as one task under an empty prefix
     for g in (make_cycle(6), make_cycle(7), make_two_cycle(3, 5),
               make_two_cycle(4, 4), Graph(5, ((0, 1), (1, 2), (3, 4)))):
-        on = search_sem(g, SearchConfig(use_obstructions=False, threads=1,
-                                        symmetry_reduction=True))
-        off = search_sem(g, SearchConfig(use_obstructions=False, threads=1,
-                                         symmetry_reduction=False))
+        on = search_sem(g, SEQ)
+        off = search_sem(g, SEQ, prefix=())
         assert on.status == off.status
         for out in (on, off):
             if out.witness is not None:
@@ -355,9 +371,10 @@ def test_witness_is_lexicographically_least():
 
 
 def test_every_extendable_labeling_is_reached():
-    # full-coverage check of the pruning: with symmetry off, the number of
-    # completions the engine reaches must equal the brute-force count of
-    # extendable bijections, and the valences must match exactly
+    # full-coverage check of the pruning: over the whole space (an empty
+    # prefix, so no symmetry cap), the number of completions the engine
+    # reaches must equal the brute-force count of extendable bijections,
+    # and the valences must match exactly
     rng = random.Random(91)
     graphs = [make_cycle(5), make_cycle(6), make_two_cycle(3, 3),
               Graph(4, ((0, 1), (1, 2))), Graph(5, ())]
@@ -365,10 +382,7 @@ def test_every_extendable_labeling_is_reached():
     for g in graphs:
         if g.size == 0:
             continue
-        plan = solver_mod._make_plan(g, symmetry=False)
-        tasks, prefix_nodes = solver_mod._build_tasks(plan)
-        engine = solver_mod._execute(plan, tasks, prefix_nodes, 10**9, 1,
-                                     collect=True)
+        engine = solver_mod._execute(g, 10**9, 1, True, prefix=())
         brute = [perm for perm in helpers.all_bijections(g.order)
                  if is_extendable(edge_sums(g, perm))]
         assert engine.labelings == len(brute), f"coverage differs on {g}"
@@ -407,16 +421,15 @@ def test_node_counts_are_pinned():
     # these graphs have q > 2p-3 edges: the kernel kills every node that
     # places an edge, and only those. In the last one, K(2,4) plus two
     # edges, the first two vertices in assignment order are not adjacent,
-    # so its tasks pass their pinned depths and count nodes at depth 2
+    # so its tasks pass their pinned depths and count nodes at depth 2.
+    # Each is searched by the task split and, under an empty prefix, whole
     dense = [Graph(k, tuple(itertools.combinations(range(k), 2))) for k in (5, 6)]
     dense.append(Graph(6, tuple((a, b) for a in (0, 1) for b in range(2, 6))
                        + ((2, 3), (4, 5))))
     for g, counts in zip(dense, ((15, 25), (18, 36), (78, 156))):
         assert g.size > 2 * g.order - 3
-        for symmetry, nodes in zip((True, False), counts):
-            cfg = SearchConfig(use_obstructions=False, threads=1,
-                               symmetry_reduction=symmetry)
-            out = search_sem(g, cfg)
+        for prefix, nodes in zip((None, ()), counts):
+            out = search_sem(g, SEQ, prefix=prefix)
             assert (out.status, out.stats.nodes) == (
                 STATUS_NOT_SEM_EXHAUSTED, nodes), g
 
@@ -439,9 +452,8 @@ def test_pinned_prefix_node_counts():
             ((1, 2, 3, 4, 5), STATUS_NOT_SEM_EXHAUSTED, 0),
             (witness, STATUS_SEM, 0),
             ((1, 2, 3, 4, 5, 6, 7), STATUS_NOT_SEM_EXHAUSTED, 0)):
-        for symmetry, threads in ((True, 1), (False, 2)):
-            cfg = SearchConfig(use_obstructions=False, threads=threads,
-                               symmetry_reduction=symmetry)
+        for threads in (1, 2):
+            cfg = SearchConfig(use_obstructions=False, threads=threads)
             out = search_sem(g, cfg, prefix=list(zip(order, labs)))
             assert (out.status, out.stats.nodes) == (status, nodes), labs
             assert out.stats.labelings == (status == STATUS_SEM)
@@ -453,15 +465,15 @@ def test_pinned_prefix_node_counts():
 
 
 def test_pinned_depths_skip_fill():
-    # every task pins depths 0 and 1, where the kernel never takes the
-    # ascending fill once no edge is left: the fill belongs to the first
-    # free depth, whose nodes count
+    # every task of the split pins depths 0 and 1, where the kernel never
+    # takes the ascending fill once no edge is left: the fill belongs to the
+    # first free depth, whose nodes count. An empty prefix pins no depth, so
+    # the fill comes right after the last edge is placed
     for g, witness, counts in (
-            (Graph(3, ((0, 2),)), (1, 3, 2), (7, 10)),
-            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (44, 54))):
-        for symmetry, nodes in zip((True, False), counts):
-            cfg = SearchConfig(threads=1, symmetry_reduction=symmetry)
-            out = search_sem(g, cfg)
+            (Graph(3, ((0, 2),)), (1, 3, 2), (7, 2)),
+            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (44, 34))):
+        for prefix, nodes in zip((None, ()), counts):
+            out = search_sem(g, SearchConfig(threads=1), prefix=prefix)
             assert out.status == STATUS_SEM and out.stats.nodes == nodes
             assert out.witness.vertex_labels == witness
 
