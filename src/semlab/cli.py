@@ -115,12 +115,13 @@ def _gen_graph(args) -> Graph:
 
 
 def _sniff_format(text: str) -> str:
-    """An edge list starts with its order; graph6 bytes are never digits."""
+    """An edge list starts with its order, a number; graph6 bytes start at
+    '?' and its header at '>', so neither is a digit or '-'."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        return "edge-list" if line.isdigit() else "graph6"
+        return "edge-list" if line[0] in "-0123456789" else "graph6"
     return "edge-list"
 
 

@@ -5,10 +5,13 @@ The search assigns labels 1..p to vertices in a fixed static order
 labeled edge contributes an endpoint sum; a branch dies as soon as a sum
 repeats or the sums stop fitting in a window of q consecutive integers. A
 graph with more than 2p-3 edges has no labeling at all (Enomoto, Lladó,
-Nakamigawa & Ringel 1998), so there every edge placed kills its branch.
-Any complete bijection that survives is automatically extendable (q
-distinct sums inside a width-(q-1) window must be consecutive), so reaching
-depth p is a witness.
+Nakamigawa & Ringel 1998), so there the window has width -1 and every edge
+placed kills its branch. Any bijection that survives is extendable (q
+distinct sums inside a width-(q-1) window must be consecutive). Past the
+last vertex with an edge every fill of the unused labels survives, so
+reaching the leaf depth, the last one with an edge (or the first free one
+below a pinned prefix), is a witness: its ascending fill is the least of the
+labelings that node stands for.
 
 Work splits deterministically on the top two label assignments; each
 subtree is a task. One executor streams the tasks to a worker pool (a pool
@@ -25,6 +28,7 @@ import itertools
 import math
 import multiprocessing as mp
 import os
+import sys
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -52,6 +56,10 @@ DEFAULT_BUDGET = 10**9
 # pool's start-up cost; order-9 traversals break even (56-68 ms against
 # 51-98 ms), and order-10 ones gain (222-240 ms against 128-155 ms).
 _PARALLEL_MIN_ORDER = 9
+
+# frames left to the kernel's callers on top of its one per depth: the
+# interpreter's default recursion limit
+_CALLER_FRAMES = 1000
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,8 @@ class _Plan:
     pos: tuple[int, ...]
     # positions of earlier-assigned neighbors, per position
     earlier: tuple[tuple[int, ...], ...]
-    # edges fully labeled once depth d is assigned
-    placed_cum: tuple[int, ...]
+    # one past the last position with an edge: every later vertex is isolated
+    last: int
 
 
 def _make_plan(g: Graph) -> _Plan:
@@ -150,7 +158,7 @@ def _make_plan(g: Graph) -> _Plan:
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier),
-        placed_cum=tuple(itertools.accumulate(len(e) for e in earlier)))
+        last=max((d + 1 for d in range(p) if earlier[d]), default=0))
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,11 @@ class _TaskResult:
 
 
 class _Stop(Exception):
-    """A task reached its node cap or was told to abort."""
+    """A task stops before covering its subtree: at its first witness, at
+    its node cap or when told to abort. Carries the nodes counted."""
+
+    def __init__(self, nodes: int, witness: tuple[int, ...] | None = None):
+        self.nodes, self.witness = nodes, witness
 
 
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
@@ -181,113 +193,96 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
               prefix_labels: tuple[int, ...], cap: int) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
     ``collect`` gathers every valence over a full traversal; otherwise the
-    task stops at its first witness. ``idx`` is its place in prefix order."""
-    p, q, earlier, placed_cum = plan.p, plan.q, plan.earlier, plan.placed_cum
-    q1 = q - 1
-    # no labeling exists (Enomoto et al. 1998): any edge placed ends a branch
-    too_dense = q > 2 * p - 3
+    task stops at its first witness. ``idx`` is its place in prefix order.
+
+    The search recurses once per depth, so the task raises the recursion
+    limit, which is process-wide, to fit p frames above its callers'. It
+    never lowers it."""
+    p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), p + _CALLER_FRAMES))
+    # the edge sums must fit a window of width q-1. A graph with more than
+    # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
+    # edge placed ends its branch
+    q1 = q - 1 if q <= 2 * p - 3 else -1
 
     used_label = bytearray(p + 2)
     used_sum = bytearray(2 * p + 2)
     labels_at = [0] * p
-    # one pending-sums buffer per depth: child frames must not clobber the
-    # parent's entries before it unwinds
-    added_rows = [[0] * (p + 1) for _ in range(p + 1)]
 
     abort_box = _WORKER_ABORT
     # pinned depths try only their label. Like the prefix enumeration that
-    # made them, they count no nodes (the counter starts below zero by the
-    # prefix length) and never take the ascending fill
+    # made them, they count no nodes: the count starts below zero by the
+    # prefix length
     start = len(prefix_labels)
-    ctr = [-start, 0]  # nodes, labelings
-    witness_box: list = [None]  # witness labels by vertex
-    valences: set[int] = set()
     choices = [(lab,) for lab in prefix_labels] + [range(1, p + 1)] * (p - start)
-    pos = plan.pos
+    # past the last edge any fill of the unused labels works, so the leaf is
+    # the last depth with an edge, or the first free one below the pins. Its
+    # ascending fill is the least of the (p-1-leaf)! completions it stands for
+    leaf = min(p - 1, max(plan.last - 1, start))
+    covered = math.factorial(p - 1 - leaf)
+    labelings = [0]
+    valences: set[int] = set()
 
-    def finish(labels_full, k, covered=1) -> bool:
-        # ``covered`` completions share this node (the ascending fill stands
-        # in for every permutation of an unconstrained tail); a witness
-        # search stops at the single witness it reports
-        if collect:
-            ctr[1] += covered
-            valences.add(k)
-            return False
-        ctr[1] += 1
-        witness_box[0] = tuple(labels_full[pos[v]] for v in range(p))
-        if abort_box is not None:
-            with abort_box.get_lock():
-                if idx < abort_box.value:
-                    abort_box.value = idx
-        return True
-
-    def rec(d, cmin, cmax,
-            earlier=earlier, placed_cum=placed_cum, used_label=used_label,
-            used_sum=used_sum, labels_at=labels_at, added_rows=added_rows,
-            p=p, q=q, q1=q1, too_dense=too_dense, cap=cap,
-            abort_box=abort_box, ctr=ctr) -> bool:
-        nodes = ctr[0]
+    def rec(d, cmin, cmax, nodes,
+            earlier=earlier, used_label=used_label, used_sum=used_sum,
+            labels_at=labels_at, q1=q1, leaf=leaf, cap=cap,
+            abort_box=abort_box) -> int:
         earlier_d = earlier[d]
-        now_placed = placed_cum[d]
-        added = added_rows[d]
         for lab in choices[d]:
             if used_label[lab]:
                 continue
             nodes += 1
             if nodes > cap:
-                ctr[0] = nodes - 1
-                raise _Stop
-            if abort_box is not None and nodes % 4096 == 1:
-                if abort_box.value < idx:
-                    ctr[0] = nodes
-                    raise _Stop
+                raise _Stop(nodes - 1)
+            if (abort_box is not None and nodes % 4096 == 1
+                    and abort_box.value < idx):
+                raise _Stop(nodes)
             new_min, new_max = cmin, cmax
             n_added = 0
-            ok = True
             for j in earlier_d:
                 s = lab + labels_at[j]
                 if used_sum[s]:
-                    ok = False
                     break
                 used_sum[s] = 1
-                added[n_added] = s
                 n_added += 1
                 if s < new_min:
                     new_min = s
                 if s > new_max:
                     new_max = s
-            if ok and n_added and (new_max - new_min > q1 or too_dense):
-                ok = False
-            if ok:
-                used_label[lab] = 1
-                labels_at[d] = lab
-                ctr[0] = nodes
-                if d + 1 == p:
-                    if finish(labels_at, p + q + new_min):
-                        return True
-                elif now_placed == q and d >= start:
-                    # no edges left: any fill works; ascending is the least
-                    fill = [x for x in range(1, p + 1) if not used_label[x]]
-                    full = list(labels_at)
-                    full[d + 1:] = fill
-                    if finish(full, p + q + new_min, math.factorial(len(fill))):
-                        return True
-                elif rec(d + 1, new_min, new_max):
-                    return True
-                nodes = ctr[0]
-                used_label[lab] = 0
+            else:
+                # a node that places no edge keeps a window that passed:
+                # its parent's, or the empty one, 0 - (2p+1)
+                if new_max - new_min <= q1:
+                    used_label[lab] = 1
+                    labels_at[d] = lab
+                    if d < leaf:
+                        nodes = rec(d + 1, new_min, new_max, nodes)
+                    elif collect:
+                        labelings[0] += covered
+                        valences.add(p + q + new_min)
+                    else:
+                        full = labels_at[:d + 1] + [
+                            x for x in range(1, p + 1) if not used_label[x]]
+                        if abort_box is not None:
+                            with abort_box.get_lock():
+                                if idx < abort_box.value:
+                                    abort_box.value = idx
+                        labelings[0] = 1
+                        raise _Stop(nodes, tuple(full[pos[v]] for v in range(p)))
+                    used_label[lab] = 0
+            # the labels of earlier depths stay put while this one is live
             for t in range(n_added):
-                used_sum[added[t]] = 0
-        ctr[0] = nodes
-        return False
+                used_sum[lab + labels_at[earlier_d[t]]] = 0
+        return nodes
 
+    witness = None
     try:
-        rec(0, 2 * p + 1, 0)
-        exhausted = witness_box[0] is None
-    except _Stop:
-        exhausted = False
+        nodes = rec(0, 2 * p + 1, 0, -start)
+        exhausted = True
+    except _Stop as stop:
+        nodes, witness, exhausted = stop.nodes, stop.witness, False
     # a prefix that fails, or a cap below zero, stops before any counted node
-    return _TaskResult(max(ctr[0], 0), ctr[1], exhausted, witness_box[0],
+    return _TaskResult(max(nodes, 0), labelings[0], exhausted, witness,
                        tuple(sorted(valences)))
 
 
@@ -335,7 +330,7 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     """Run the tasks of ``_build_tasks``, or the one task that ``prefix``
     (labels in assignment order) pins, at most a window ahead of an in-order
     replay that applies sequential budget rules. A task's cap is the budget
-    less the prefix nodes and the nodes of every finished, exhausted task
+    less the prefix nodes and the nodes of every returned, exhausted task
     before it: never below its sequential allowance, so a task that hits its
     cap proves a sequential run would run out of budget too. Once the replay
     stops, at the first witness or at the budget cut, tasks past the cut

@@ -182,10 +182,11 @@ def test_graph_inputs(tmp_path, capsys):
                     + serialize_graph(make_cycle(3), "edge-list"))
     code, out, _ = run(capsys, "solve", str(path), "--threads", "1")
     assert code == 0 and "order 3, size 3" in out
-    # an edge where the order should be is neither format
+    # an edge where the order should be is a malformed edge list
     path.write_text("5 6\n0 1\n")
     code, out, err = run(capsys, "solve", str(path), "--threads", "1")
     assert (code, out) == (3, "") and err.startswith("error: ")
+    assert "expected vertex count" in err
 
     code, _, err = run(capsys, "solve")
     assert code == 3 and "no graph" in err

@@ -371,24 +371,31 @@ def test_witness_is_lexicographically_least():
 
 
 def test_every_extendable_labeling_is_reached():
-    # full-coverage check of the pruning: over the whole space (an empty
-    # prefix, so no symmetry cap), the number of completions the engine
-    # reaches must equal the brute-force count of extendable bijections,
-    # and the valences must match exactly
+    # full-coverage check of the pruning: the number of completions the
+    # engine reaches must equal the brute-force count of extendable
+    # bijections, and the valences must match exactly. An empty prefix
+    # searches the whole space; the task split covers the bijections whose
+    # first label in assignment order is at most (p+1)//2 and pins two
+    # depths, past the only edge in Graph(4, ((0, 1),))
     rng = random.Random(91)
     graphs = [make_cycle(5), make_cycle(6), make_two_cycle(3, 3),
-              Graph(4, ((0, 1), (1, 2))), Graph(5, ())]
+              Graph(4, ((0, 1), (1, 2))), Graph(4, ((0, 1),)), Graph(5, ())]
     graphs += [helpers.random_graph(rng, p_min=2, p_max=6) for _ in range(40)]
     for g in graphs:
         if g.size == 0:
             continue
-        engine = solver_mod._execute(g, 10**9, 1, True, prefix=())
+        first = assignment_order(g)[0]
         brute = [perm for perm in helpers.all_bijections(g.order)
                  if is_extendable(edge_sums(g, perm))]
-        assert engine.labelings == len(brute), f"coverage differs on {g}"
-        want = sorted({g.order + g.size + min(edge_sums(g, perm))
-                       for perm in brute})
-        assert sorted(engine.valences) == want
+        for prefix, space in (
+                ((), brute),
+                (None, [perm for perm in brute
+                        if perm[first] <= (g.order + 1) // 2])):
+            engine = solver_mod._execute(g, 10**9, 1, True, prefix)
+            assert engine.labelings == len(space), f"coverage differs on {g}"
+            want = sorted({g.order + g.size + min(edge_sums(g, perm))
+                           for perm in space})
+            assert sorted(engine.valences) == want
 
 
 def test_restricted_search_matches_restricted_oracle():
@@ -465,10 +472,10 @@ def test_pinned_prefix_node_counts():
 
 
 def test_pinned_depths_skip_fill():
-    # every task of the split pins depths 0 and 1, where the kernel never
-    # takes the ascending fill once no edge is left: the fill belongs to the
-    # first free depth, whose nodes count. An empty prefix pins no depth, so
-    # the fill comes right after the last edge is placed
+    # every task of the split pins depths 0 and 1. When the last edge is
+    # placed earlier, the leaf, where the ascending fill of the unused
+    # labels starts, is the first free depth, whose nodes count. An empty
+    # prefix pins no depth, so the leaf is the depth of the last edge
     for g, witness, counts in (
             (Graph(3, ((0, 2),)), (1, 3, 2), (7, 2)),
             (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (44, 34))):
@@ -476,6 +483,16 @@ def test_pinned_depths_skip_fill():
             out = search_sem(g, SearchConfig(threads=1), prefix=prefix)
             assert out.status == STATUS_SEM and out.stats.nodes == nodes
             assert out.witness.vertex_labels == witness
+
+
+def test_deep_search_does_not_overflow_the_stack():
+    # the kernel recurses once per depth, and a star of order 1501 needs
+    # 1500 of them: more than the interpreter's default limit of 1000
+    g = Graph(1501, tuple((0, v) for v in range(1, 1501)))
+    for threads in (1, 2):
+        out = search_sem(g, SearchConfig(threads=threads))
+        assert out.status == STATUS_SEM and verify_sem(g, out.witness)
+        assert out.stats.nodes == 1_128_750
 
 
 def test_prefix_validation():
