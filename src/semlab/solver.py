@@ -3,7 +3,9 @@
 The search assigns labels 1..p to vertices in a fixed static order
 (descending degree, ties by index). After each assignment every fully
 labeled edge contributes an endpoint sum; a branch dies as soon as a sum
-repeats or the sums stop fitting in a window of q consecutive integers. A
+repeats or the sums stop fitting in a window of q consecutive integers.
+A label's new sums are tested against the placed sums and the window
+before any is marked, so a branch that dies leaves nothing to undo. A
 graph with more than 2p-3 edges has no labeling at all (Enomoto, Lladó,
 Nakamigawa & Ringel 1998), so there the window has width -1 and every edge
 placed kills its branch. Any bijection that survives is extendable (q
@@ -14,12 +16,13 @@ below a pinned prefix), is a witness: its ascending fill is the least of the
 labelings that node stands for.
 
 Work splits deterministically on the top two label assignments; each
-subtree is a task. One executor streams the tasks to a worker pool (a pool
-of one, in this process, when single-threaded) and replays their results in
-prefix order as if they ran strictly sequentially, so statuses, valence sets,
-node counts and witnesses do not depend on the worker count. The witness is
-the lexicographically least in assignment order over the space covered. The
-node budget bounds the work done, not only the count reported.
+subtree is a task, whose two labels follow from its index. One executor
+streams the tasks to a worker pool (a pool of one, in this process, when
+single-threaded) and replays their results in prefix order as if they ran
+strictly sequentially, so statuses, valence sets, node counts and witnesses
+do not depend on the worker count. The witness is the lexicographically
+least in assignment order over the space covered. The node budget bounds
+the work done, not only the count reported.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import multiprocessing as mp
 import os
 import sys
 import time
+from collections.abc import Iterable, Sequence
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .graphs import Graph
 # the valence arithmetic lives in labeling; its names stay importable here
@@ -210,6 +213,9 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     labels_at = [0] * p
 
     abort_box = _WORKER_ABORT
+    # one test per node serves the cap and, in a pool worker, the abort poll
+    # at every 4096th node: poll[0] is whichever of the two comes first
+    poll = [cap if abort_box is None else min(cap, 0)]
     # pinned depths try only their label. Like the prefix enumeration that
     # made them, they count no nodes: the count starts below zero by the
     # prefix length
@@ -225,26 +231,25 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
 
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
-            labels_at=labels_at, q1=q1, leaf=leaf, cap=cap,
-            abort_box=abort_box) -> int:
+            labels_at=labels_at, q1=q1, leaf=leaf, poll=poll) -> int:
         earlier_d = earlier[d]
         for lab in choices[d]:
             if used_label[lab]:
                 continue
             nodes += 1
-            if nodes > cap:
-                raise _Stop(nodes - 1)
-            if (abort_box is not None and nodes % 4096 == 1
-                    and abort_box.value < idx):
-                raise _Stop(nodes)
+            if nodes > poll[0]:
+                if nodes > cap:
+                    raise _Stop(nodes - 1)
+                if abort_box.value < idx:
+                    raise _Stop(nodes)
+                poll[0] = min(cap, nodes + 4095)
+            # the new sums differ as the earlier labels do, which stay put
+            # while this depth is live: test them all, then mark them
             new_min, new_max = cmin, cmax
-            n_added = 0
             for j in earlier_d:
                 s = lab + labels_at[j]
                 if used_sum[s]:
                     break
-                used_sum[s] = 1
-                n_added += 1
                 if s < new_min:
                     new_min = s
                 if s > new_max:
@@ -253,6 +258,8 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                 # a node that places no edge keeps a window that passed:
                 # its parent's, or the empty one, 0 - (2p+1)
                 if new_max - new_min <= q1:
+                    for j in earlier_d:
+                        used_sum[lab + labels_at[j]] = 1
                     used_label[lab] = 1
                     labels_at[d] = lab
                     if d < leaf:
@@ -265,20 +272,16 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                             x for x in range(1, p + 1) if not used_label[x]]
                         if abort_box is not None:
                             with abort_box.get_lock():
-                                if idx < abort_box.value:
-                                    abort_box.value = idx
+                                abort_box.value = min(abort_box.value, idx)
                         labelings[0] = 1
                         raise _Stop(nodes, tuple(full[pos[v]] for v in range(p)))
                     used_label[lab] = 0
-            # the labels of earlier depths stay put while this one is live
-            for t in range(n_added):
-                used_sum[lab + labels_at[earlier_d[t]]] = 0
+                    for j in earlier_d:
+                        used_sum[lab + labels_at[j]] = 0
         return nodes
 
-    witness = None
     try:
-        nodes = rec(0, 2 * p + 1, 0, -start)
-        exhausted = True
+        nodes, witness, exhausted = rec(0, 2 * p + 1, 0, -start), None, True
     except _Stop as stop:
         nodes, witness, exhausted = stop.nodes, stop.witness, False
     # a prefix that fails, or a cap below zero, stops before any counted node
@@ -288,18 +291,34 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
 
 # --- task construction and the in-order streaming executor ----------------
 
-def _build_tasks(p: int) -> tuple[list[tuple[int, ...]], int]:
-    """Enumerate (first, second) label prefixes in lexicographic order;
-    returns (prefixes, prefix_nodes_counted). The tasks' pinned depths
-    reject an infeasible pair without counting a node."""
-    # complement symmetry: f and p+1-f give consecutive edge sums together,
-    # so first labels up to (p+1)//2 meet every labeling or its complement.
-    # sem_set's duality closure relies on this cap to recover the rest
-    first_max = (p + 1) // 2
-    prefixes = [(l0, l1) for l0 in range(1, first_max + 1)
-                for l1 in range(1, p + 1) if l1 != l0]
-    # one node per first label and one per (first, second) pair
-    return prefixes, first_max + len(prefixes)
+class _TaskPrefixes(Sequence):
+    """The (first, second) label prefixes of the task split, in lexicographic
+    order, made on demand: task i is ``divmod(i, p - 1)``, its second label
+    skipping the first."""
+
+    def __init__(self, p: int):
+        # complement symmetry: f and p+1-f give consecutive edge sums
+        # together, so first labels up to (p+1)//2 meet every labeling or its
+        # complement. sem_set's duality closure relies on this cap to recover
+        # the rest
+        self.p, self.first_max = p, (p + 1) // 2
+
+    def __len__(self) -> int:
+        return self.first_max * (self.p - 1)
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        first, second = divmod(i, self.p - 1)
+        return first + 1, second + 1 + (second >= first)
+
+
+def _build_tasks(p: int) -> tuple[_TaskPrefixes, int]:
+    """The tasks' (first, second) label prefixes in lexicographic order, and
+    the prefix nodes counted: one per first label and one per pair. The
+    tasks' pinned depths reject an infeasible pair without counting a node."""
+    tasks = _TaskPrefixes(p)
+    return tasks, tasks.first_max + len(tasks)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import networkx as nx
 
 from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, oracle_search,
                     search_sem, sem_set)
+from semlab.solver import DEFAULT_BUDGET, _execute
 
 SEQ = SearchConfig(use_obstructions=False, threads=1)
 
@@ -16,12 +17,21 @@ def atlas_graphs():
 
 
 def test_search_sem_set_and_obstructions_agree_with_oracle():
-    checked = 0
+    checked = nodes = labelings = collect_nodes = 0
     for index, g in atlas_graphs():
         ref = oracle_search(g)
-        assert search_sem(g, SEQ).status == ref.status, index
+        out = search_sem(g, SEQ)
+        assert out.status == ref.status, index
         assert sem_set(g, threads=1).values == ref.valence_set.values, index
         if ref.status == STATUS_SEM:
             assert check_all(g) is None, index
         checked += 1
+        nodes += out.stats.nodes
+        labelings += out.stats.labelings
+        collect_nodes += _execute(g, DEFAULT_BUDGET, 1, collect=True).nodes
     assert checked == 1_245
+    # node counts are deterministic: any change to the kernel's pruning or
+    # task split shows here. 729 of these graphs have a vertex with three or
+    # more neighbours assigned before it
+    assert (nodes, labelings) == (732_166, 624)
+    assert collect_nodes == 1_745_971

@@ -1,10 +1,12 @@
 import itertools
 import math
+import multiprocessing as mp
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +190,50 @@ def test_parallel_work_is_bounded_by_budget():
     assert engine.exceeded and engine.nodes == budget
     window = solver_mod._WINDOW_PER_WORKER * 2
     assert budget - prefix_nodes <= engine.visited <= (window + 1) * budget
+
+
+def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
+    # one test per node serves the cap and, in a pool worker, the abort poll
+    # at every 4096th node; a task of C(3,9) with 14,740 nodes stops at
+    # exactly its cap on either side of a poll, with and without an abort box
+    plan = solver_mod._make_plan(make_two_cycle(3, 9))
+    box = mp.Value("q", 10**6)
+    for abort in (None, box):
+        monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
+        for cap in (4095, 4096, 4097, 8192):
+            res = solver_mod._run_task(plan, True, 5, (1, 3), cap)
+            assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
+        res = solver_mod._run_task(plan, True, 5, (1, 3), 10**9)
+        assert (res.nodes, res.exhausted) == (14_740, True)
+    # a task whose index lies past the abort value quits at its first poll
+    box.value = 4
+    res = solver_mod._run_task(plan, True, 5, (1, 3), 10**9)
+    assert (res.nodes, res.exhausted) == (1, False)
+
+
+def test_task_prefixes_are_made_on_demand():
+    # task i's prefix comes from divmod(i, p - 1) and equals the i-th
+    # (first, second) pair in lexicographic order
+    for p in range(2, 13):
+        tasks, prefix_nodes = solver_mod._build_tasks(p)
+        first_max = (p + 1) // 2
+        pairs = [(a, b) for a in range(1, first_max + 1)
+                 for b in range(1, p + 1) if b != a]
+        assert list(tasks) == pairs, p
+        assert prefix_nodes == first_max + len(pairs)
+    # the star K(1,1500) has 1,126,500 tasks: a list of them as tuples takes
+    # ~98 MB of traced memory before the budget cut ends the search. (Peak
+    # RSS of a child process would not show it: on Linux a child starts from
+    # the high-water mark of the process that forked it)
+    g = Graph(1501, tuple((0, v) for v in range(1, 1501)))
+    tracemalloc.start()
+    try:
+        out = search_sem(g, SearchConfig(threads=1, budget=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status == STATUS_UNKNOWN_BUDGET_EXCEEDED
+    assert peak < 8 * 2**20
 
 
 def test_correctness_checks_survive_optimized_mode():
