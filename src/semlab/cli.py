@@ -187,9 +187,8 @@ def cmd_solve(args) -> int:
     cfg = _config(args, use_obstructions=not args.no_obstructions)
     out = search_sem(g, cfg)
     if args.cert_out and out.witness is not None:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(out.witness.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write(args.cert_out,
+               json.dumps(out.witness.to_json_dict(), indent=2) + "\n")
     if args.json:
         print(json.dumps(out.to_json_dict(), indent=2))
     else:
@@ -336,12 +335,19 @@ def cmd_render(args) -> int:
     return _emit(lines, args.output)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(lines: list[str], path: str | None) -> int:
     """Write the lines to the file at ``path``, or to stdout."""
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
     return EXIT_SEM

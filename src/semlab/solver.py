@@ -15,6 +15,16 @@ reaching the leaf depth, the last one with an edge (or the first free one
 below a pinned prefix), is a witness: its ascending fill is the least of the
 labelings that node stands for.
 
+A seam is the depth just past the last position of a component (any but
+the one that ends last). Below any depth the search reads only the labels
+and edge sums in use and the labels of the live positions, the earlier ones
+with a neighbor further down; at a seam the finished component adds no
+live position, so many labelings of it meet in one such key. Equal keys
+mean equal subtrees, so each task keeps a bounded memo of the subtrees it
+searched whole below its seams and credits their nodes and labelings on a
+repeat instead of searching them again. Node counts stay exact, the budget
+still bounds the nodes searched, and a connected graph has no seam.
+
 Work splits deterministically on the top two label assignments; each
 subtree is a task, whose two labels follow from its index. One executor
 streams the tasks to a worker pool (a pool of one, in this process, when
@@ -36,6 +46,7 @@ import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graphs import Graph
 # the valence arithmetic lives in labeling; its names stay importable here
@@ -149,6 +160,10 @@ class _Plan:
     earlier: tuple[tuple[int, ...], ...]
     # one past the last position with an edge: every later vertex is isolated
     last: int
+    # (depth, live positions) at each seam below last - 1, by depth: a seam
+    # is the depth just past a component's last position, and its live
+    # positions are the earlier ones with a neighbor at the seam or later
+    seams: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _make_plan(g: Graph) -> _Plan:
@@ -156,12 +171,39 @@ def _make_plan(g: Graph) -> _Plan:
     order = assignment_order(g)
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[] for _ in range(p)]
+    reach = list(range(p))  # each position's last neighbor position, or itself
     for u, v in g.edges:
-        earlier[max(pos[u], pos[v])].append(min(pos[u], pos[v]))
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        earlier[b].append(a)
+        if b > reach[a]:
+            reach[a] = b
+    last = max((d + 1 for d in range(p) if earlier[d]), default=0)
+    # union-find over the positions up to x, joined along their edges: the
+    # component of x ends at x when none of its members reaches past x (an
+    # edge out of it would lead further down). Each position joins the live
+    # list once and leaves it once
+    root, top = list(range(p)), reach[:]  # top: a root's members' last reach
+    seams, live = [], []
+    for x in range(last - 2):
+        r = x
+        for s in earlier[x]:
+            while root[s] != s:  # path halving
+                root[s] = root[root[s]]
+                s = root[s]
+            if s != r:
+                root[r] = s
+                top[s] = max(top[s], top[r])
+                r = s
+        live.append(x)
+        if top[r] == x:
+            live = [j for j in live if reach[j] > x]
+            seams.append((x + 1, tuple(live)))
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier),
-        last=max((d + 1 for d in range(p) if earlier[d]), default=0))
+        last=last, seams=tuple(seams))
 
 
 @dataclass(frozen=True)
@@ -174,6 +216,7 @@ class _TaskResult:
     exhausted: bool
     witness: tuple[int, ...] | None
     valences: tuple[int, ...]
+    credited: int  # of the nodes, those taken from the seam memo unsearched
 
 
 class _Stop(Exception):
@@ -185,6 +228,13 @@ class _Stop(Exception):
 
 
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
+
+# entries a task's seam memo holds at most; past it the memo only answers.
+# An entry takes ~190 bytes at order 12 and ~340 at order 20 (tracemalloc),
+# so a full memo takes 6-11 MB per task. The most measured is 4,442 entries,
+# in a task of C6 + C(3,4); order-13 unions of a two-cycle and cycles peak at
+# 1,306
+_MEMO_MAX_ENTRIES = 1 << 15
 
 
 def _pool_init(abort_value):
@@ -228,10 +278,13 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     covered = math.factorial(p - 1 - leaf)
     labelings = [0]
     valences: set[int] = set()
+    # the search below each depth: rec, or at a seam the memo in front of it
+    descend = []
 
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
-            labels_at=labels_at, q1=q1, leaf=leaf, poll=poll) -> int:
+            labels_at=labels_at, q1=q1, leaf=leaf, poll=poll,
+            descend=descend) -> int:
         earlier_d = earlier[d]
         for lab in choices[d]:
             if used_label[lab]:
@@ -263,7 +316,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                     used_label[lab] = 1
                     labels_at[d] = lab
                     if d < leaf:
-                        nodes = rec(d + 1, new_min, new_max, nodes)
+                        nodes = descend[d + 1](d + 1, new_min, new_max, nodes)
                     elif collect:
                         labelings[0] += covered
                         valences.add(p + q + new_min)
@@ -280,13 +333,53 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                         used_sum[lab + labels_at[j]] = 0
         return nodes
 
+    # the seam memo (module docstring): cmin and cmax are the least and
+    # greatest sums in use, so the key holds all the subtree reads. A hit's
+    # valences are in the set already. Keys at different seams differ in
+    # the number of labels in use
+    live_labels = {d: itemgetter(*live) if live else (lambda labels: None)
+                   for d, live in plan.seams}
+    memo: dict[tuple, tuple[int, int]] = {}
+    credited = [0]
+
+    def seam(d, cmin, cmax, nodes) -> int:
+        # fixed lengths p+2 and 2p+2: the concatenation is exact
+        key = bytes(used_label + used_sum), live_labels[d](labels_at)
+        hit = memo.get(key)
+        if hit is None:
+            before = labelings[0]
+            # a witness or a stop raises past the store
+            after = rec(d, cmin, cmax, nodes)
+            if len(memo) < _MEMO_MAX_ENTRIES:
+                memo[key] = (after - nodes, labelings[0] - before)
+            return after
+        sub_nodes, sub_labelings = hit
+        nodes += sub_nodes
+        if nodes > poll[0]:
+            if nodes > cap:
+                raise _Stop(cap)
+            if abort_box.value < idx:
+                raise _Stop(nodes)
+            poll[0] = min(cap, nodes + 4095)
+        labelings[0] += sub_labelings
+        credited[0] += sub_nodes
+        return nodes
+
+    descend += [rec] * (leaf + 1)
+    for d in live_labels:
+        if start <= d < leaf:
+            descend[d] = seam
     try:
         nodes, witness, exhausted = rec(0, 2 * p + 1, 0, -start), None, True
     except _Stop as stop:
         nodes, witness, exhausted = stop.nodes, stop.witness, False
+    finally:
+        # rec and descend refer to each other, so only the cycle collector
+        # would free the memo: free it now
+        memo.clear()
     # a prefix that fails, or a cap below zero, stops before any counted node
     return _TaskResult(max(nodes, 0), labelings[0], exhausted, witness,
-                       tuple(sorted(valences)))
+                       tuple(sorted(valences)), credited[0])
 
 
 # --- task construction and the in-order streaming executor ----------------
@@ -329,6 +422,7 @@ class _EngineResult:
     valences: set[int] = field(default_factory=set)
     exceeded: bool = False
     visited: int = 0  # nodes of every task that ran, discarded ones too
+    credited: int = 0  # of the nodes, those taken from seam memos unsearched
 
 
 # tasks submitted ahead of the replay per worker; bounds the work discarded
@@ -396,6 +490,7 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
                     break
                 out.nodes += res.nodes
                 out.labelings += res.labelings
+                out.credited += res.credited
                 out.valences.update(res.valences)
                 out.witness = res.witness
                 if found:

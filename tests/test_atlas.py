@@ -5,7 +5,7 @@ import networkx as nx
 
 from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, oracle_search,
                     search_sem, sem_set)
-from semlab.solver import DEFAULT_BUDGET, _execute
+from semlab.solver import DEFAULT_BUDGET, _execute, _make_plan
 
 SEQ = SearchConfig(use_obstructions=False, threads=1)
 
@@ -35,3 +35,16 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
     # more neighbours assigned before it
     assert (nodes, labelings) == (732_166, 624)
     assert collect_nodes == 1_745_971
+
+
+def test_seam_memo_credits_nothing_on_connected_graphs():
+    # a connected graph has no seam, so its search runs without a memo
+    credited = {True: 0, False: 0}
+    for index, g in atlas_graphs():
+        h = nx.empty_graph(g.order)
+        h.add_edges_from(g.edges)
+        connected = nx.is_connected(h)
+        if connected:
+            assert _make_plan(g).seams == (), index
+        credited[connected] += _execute(g, DEFAULT_BUDGET, 1, False).credited
+    assert credited[True] == 0 and credited[False] > 0

@@ -160,6 +160,15 @@ def test_certificate_pipeline(tmp_path, capsys):
     assert code == 3 and "parse" in err
 
 
+def test_solve_unwritable_cert_out_exits_3(tmp_path, capsys):
+    # exit 1 would read as NOT_SEM: a write that fails is an input error
+    path = tmp_path / "missing" / "c5.json"
+    code, out, err = run(capsys, "solve", "--gen", "cycle", "5", "--threads",
+                         "1", "--cert-out", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_graph_inputs(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--g6", "Bw", "--threads", "1")
     assert code == 0 and "order 3" in out
@@ -350,6 +359,15 @@ def test_sweep_output_file(tmp_path, capsys):
     assert path.read_text().count("\n") == 3
 
 
+def test_sweep_unwritable_output_exits_3(tmp_path, capsys):
+    path = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "two-cycle-grid", "--m", "3..3",
+                         "--n", "3..4", "--threads", "1",
+                         "--output", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_render_plain(capsys):
     code, out, _ = run(capsys, "render", "--gen", "cycle", "3")
     assert code == 0
@@ -376,3 +394,10 @@ def test_render_mismatched_certificate(tmp_path, capsys):
     code, _, err = run(capsys, "render", "--gen", "cycle", "4",
                        "--cert", str(cert))
     assert code == 1 and "INVALID" in err
+
+
+def test_render_unwritable_output_exits_3(tmp_path, capsys):
+    code, out, err = run(capsys, "render", "--gen", "cycle", "3",
+                         "--output", str(tmp_path))  # a directory
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")

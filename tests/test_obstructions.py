@@ -49,10 +49,18 @@ def test_degseq_4_2_ignores_connectivity():
 @pytest.mark.slow
 def test_degseq_4_2_disconnected_order12_exhausts():
     from semlab import SearchConfig, search_sem
+    from semlab.solver import DEFAULT_BUDGET, _execute
 
     g = disjoint_union(make_cycle(6), make_two_cycle(3, 4))
     out = search_sem(g, SearchConfig(use_obstructions=False, threads=2))
     assert out.status == STATUS_NOT_SEM_EXHAUSTED
+    assert out.stats.nodes == 9_848_372
+    # the same serially, where the seam memo credits 4,265,730 of the nodes
+    # without searching them
+    engine = _execute(g, DEFAULT_BUDGET, 1, collect=False)
+    assert (engine.nodes, engine.witness, engine.exceeded) == (
+        9_848_372, None, False)
+    assert engine.credited == 4_265_730
 
 
 def test_degseq_4_2_on_two_cycles_iff_odd_total():

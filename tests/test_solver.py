@@ -22,6 +22,7 @@ from semlab import (
     STATUS_UNKNOWN_BUDGET_EXCEEDED,
     assignment_order,
     degree_sequence,
+    disjoint_union,
     edge_sums,
     is_extendable,
     make_cycle,
@@ -209,6 +210,114 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     box.value = 4
     res = solver_mod._run_task(plan, True, 5, (1, 3), 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
+
+
+# C(3,4) + C4, order 10: NOT_SEM after 300,592 nodes. Its two-cycle takes
+# the first six positions, so the search has one seam, at depth 6, where
+# nothing assigned before it has a neighbor after it
+C34_C4 = disjoint_union(make_two_cycle(3, 4), make_cycle(4))
+C33_C3_C3 = disjoint_union(make_two_cycle(3, 3), make_cycle(3), make_cycle(3))
+C45_C3 = disjoint_union(make_two_cycle(4, 5), make_cycle(3))
+
+
+def test_seams_of_the_plan():
+    for g, seams in (
+            (make_two_cycle(3, 9), ()),
+            (C34_C4, ((6, ()),)),
+            # the hub of C(3,4) comes first and is live at the seam after C6
+            (disjoint_union(make_cycle(6), make_two_cycle(3, 4)),
+             ((7, (0,)),)),
+            (C33_C3_C3, ((5, ()), (8, ()))),
+            (Graph(6, ((0, 1), (2, 3), (4, 5))), ((2, ()), (4, ()))),
+            # the seam after {0, 2}, depth 3, is the leaf of an unpinned
+            # search: no memo there
+            (Graph(4, ((0, 2), (1, 3))), ())):
+        assert solver_mod._make_plan(g).seams == seams, g
+
+
+def test_task_cap_is_exact_on_a_memo_hit(monkeypatch):
+    # task 11 of C(3,4) + C4, prefix (2, 4), takes 7,461 nodes, 3,272 of them
+    # credited from its seam memo. Its hit at node 1,453 credits 40 nodes,
+    # and its hit at node 4,073 credits 32, across the abort poll at node
+    # 4,097. A cap inside either stops the task at exactly the cap, as a
+    # search of the subtree would
+    plan = solver_mod._make_plan(C34_C4)
+    box = mp.Value("q", 10**6)
+    for abort in (None, box):
+        monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
+        for cap in (1454, 1470, 1492, 1493, 4080, 4096, 4097, 4104):
+            res = solver_mod._run_task(plan, True, 11, (2, 4), cap)
+            assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
+        res = solver_mod._run_task(plan, True, 11, (2, 4), 10**9)
+        assert (res.nodes, res.exhausted, res.credited) == (7_461, True, 3_272)
+
+    class AbortAfterFirstPoll:
+        # passes the poll at node 1, then tells the task to quit
+        polls = 0
+
+        @property
+        def value(self):
+            self.polls += 1
+            return 10**6 if self.polls == 1 else 0
+
+    # the next poll is the hit's: the task quits on the jumped count
+    monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
+    res = solver_mod._run_task(plan, True, 11, (2, 4), 10**9)
+    assert (res.nodes, res.exhausted) == (4_105, False)
+
+
+def test_budget_cut_on_a_disconnected_graph_is_deterministic():
+    # budgets in the prefix, inside task 11's hits at nodes 1,453 and 4,073
+    # (61,393 nodes come before the task), midway, and at the end
+    g = C34_C4
+    assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+    for budget in (17, 62_866, 65_482, 150_000, 300_591, 300_592):
+        outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
+                                           budget=budget)) for t in (1, 2, 4)]
+        assert {(o.status, o.stats.nodes) for o in outs} == {(
+            STATUS_NOT_SEM_EXHAUSTED if budget == 300_592
+            else STATUS_UNKNOWN_BUDGET_EXCEEDED, budget)}
+        runs = [solver_mod._execute(g, budget, t, collect=True)
+                for t in (1, 2, 4)]
+        assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
+                     e.exceeded, e.credited) for e in runs}) == 1
+
+
+def test_a_full_seam_memo_changes_nothing(monkeypatch):
+    # past its bound the memo stops storing but keeps answering
+    graphs = (C34_C4, C33_C3_C3)
+    want = [[solver_mod._execute(g, 10**9, 1, collect) for g in graphs]
+            for collect in (False, True)]
+    monkeypatch.setattr(solver_mod, "_MEMO_MAX_ENTRIES", 1)
+    for collect, runs in zip((False, True), want):
+        for g, ref in zip(graphs, runs):
+            got = solver_mod._execute(g, 10**9, 1, collect)
+            assert (got.nodes, got.labelings, got.witness, got.valences) == (
+                ref.nodes, ref.labelings, ref.witness, ref.valences)
+            assert 0 < got.credited < ref.credited
+
+
+def test_disconnected_paper_family_is_pinned():
+    # (4, 2, ..., 2) graphs that are a two-cycle plus cycles, with the
+    # obstructions off: status, nodes, witness and valence set at threads 1
+    # and 2. C(3,3) + C3 + C3 has two seams
+    for g, status, nodes, witness, valences in (
+            (disjoint_union(make_two_cycle(3, 3), make_cycle(4)),
+             STATUS_NOT_SEM_EXHAUSTED, 80_343, None, ()),
+            (C34_C4, STATUS_NOT_SEM_EXHAUSTED, 300_592, None, ()),
+            (C33_C3_C3, STATUS_SEM, 457_158,
+             (3, 4, 11, 6, 10, 1, 5, 7, 2, 8, 9), (29, 30)),
+            (C45_C3, STATUS_SEM, 386_173,
+             (3, 4, 2, 7, 5, 11, 1, 10, 6, 8, 9), (29, 30))):
+        assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+        assert solver_mod._make_plan(g).seams
+        for threads in (1, 2):
+            out = search_sem(g, SearchConfig(use_obstructions=False,
+                                             threads=threads))
+            assert (out.status, out.stats.nodes) == (status, nodes), g
+            labels = out.witness.vertex_labels if out.witness else None
+            assert labels == witness
+            assert sem_set(g, threads=threads).values == valences
 
 
 def test_task_prefixes_are_made_on_demand():
