@@ -2,15 +2,17 @@
 
 Commands: check, solve, interval, valences, perfect, sweep, render.
 Graphs come from generator flags, a graph6 string, or a file (edge-list or
-graph6). Exit codes for solve: 0 = super edge-magic (or edgeless), 1 = not
-super edge-magic, 2 = budget exceeded; malformed input exits 3 everywhere.
+graph6). solve exits 0 if super edge-magic (or edgeless), 1 if not, 2 if the
+budget ran out; bad input exits 3 and an internal failure 4 everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from .graphs import (
     CactusSpec,
@@ -24,7 +26,7 @@ from .graphs import (
     parse_graph,
     parse_graph6,
 )
-from .labeling import LabelingError, SemLabeling, verify_sem
+from .labeling import LabelingError, SemLabeling, sem_interval, verify_sem
 from .obstructions import check_all
 from .solver import (
     DEFAULT_BUDGET,
@@ -36,7 +38,6 @@ from .solver import (
     SearchConfig,
     perfect_classification,
     search_sem,
-    sem_interval,
     sem_set,
 )
 
@@ -44,6 +45,7 @@ EXIT_SEM = 0
 EXIT_NOT_SEM = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL = 4
 
 _EDGELESS_NOTE = "trivially super edge-magic, valence undefined"
 
@@ -268,8 +270,6 @@ def _sweep_graphs(args):
                 yield f"m={m};n={n}", make_two_cycle(m, n)
     elif args.family == "three-cycle-series":
         for k in _parse_range(args.k):
-            if k < 1 or 4 * k - 3 < 3:
-                raise CliError(f"three-cycle-series needs 4k-3 >= 3, got k={k}")
             yield f"k={k}", make_two_cycle(3, 4 * k - 3)
     elif args.family == "degseq-4-2":
         for order in _parse_range(args.order):
@@ -279,17 +279,19 @@ def _sweep_graphs(args):
 
 def cmd_sweep(args) -> int:
     cfg = _config(args)
-    max_order = args.max_order
+    rows = []  # every row is built and checked before the first search
+    for params, g in _sweep_graphs(args):
+        if g.order > args.max_order:
+            raise CliError(
+                f"sweep row {params} has order {g.order} > --max-order "
+                f"{args.max_order}; raise the cap to allow it")
+        rows.append((params, g))
     header = ["family", "params", "order", "size", "obstruction", "status",
               "interval_lo", "interval_hi", "valence_set", "nodes"]
     if args.timing:
         header.append("millis")
     lines = [",".join(header)]
-    for params, g in _sweep_graphs(args):
-        if g.order > max_order:
-            raise CliError(
-                f"sweep row {params} has order {g.order} > --max-order "
-                f"{max_order}; raise the cap to allow it")
+    for params, g in rows:
         out = search_sem(g, cfg)
         iv = out.interval
         lo = "" if (iv is None or iv.empty) else str(iv.lo)
@@ -335,9 +337,9 @@ def cmd_render(args) -> int:
     return _emit(lines, args.output)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
@@ -428,10 +430,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every output path is checked before any work: appending nothing
+        # changes no content, and a file made here is removed again
+        for path in filter(None, (vars(args).get("cert_out"),
+                                  vars(args).get("output"))):
+            made = not os.path.lexists(path)
+            _write(path, "", "a")
+            if made:
+                os.remove(path)
         return args.func(args)
     except (CliError, GraphError, LabelingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # exit 1 would read as NOT_SEM
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -49,10 +49,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .graphs import Graph
-# the valence arithmetic lives in labeling; its names stay importable here
-from .labeling import (SemLabeling, ValenceInterval, dual_valence,  # noqa: F401
-                       extend_to_sem, rearrangement_extremes, sem_interval,
-                       verify_sem)
+from .labeling import (SemLabeling, ValenceInterval, dual_valence,
+                       extend_to_sem, sem_interval, verify_sem)
 from .obstructions import ObstructionVerdict, check_all
 
 STATUS_SEM = "SEM"
@@ -281,6 +279,15 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # the search below each depth: rec, or at a seam the memo in front of it
     descend = []
 
+    def stop_test(nodes):
+        # past poll[0]: stop at the cap, or in a pool worker once the abort
+        # value is below this task's index; else move the poll on
+        if nodes > cap:
+            raise _Stop(cap)
+        if abort_box.value < idx:
+            raise _Stop(nodes)
+        poll[0] = min(cap, nodes + 4095)
+
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
             labels_at=labels_at, q1=q1, leaf=leaf, poll=poll,
@@ -291,11 +298,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                 continue
             nodes += 1
             if nodes > poll[0]:
-                if nodes > cap:
-                    raise _Stop(nodes - 1)
-                if abort_box.value < idx:
-                    raise _Stop(nodes)
-                poll[0] = min(cap, nodes + 4095)
+                stop_test(nodes)
             # the new sums differ as the earlier labels do, which stay put
             # while this depth is live: test them all, then mark them
             new_min, new_max = cmin, cmax
@@ -356,11 +359,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         sub_nodes, sub_labelings = hit
         nodes += sub_nodes
         if nodes > poll[0]:
-            if nodes > cap:
-                raise _Stop(cap)
-            if abort_box.value < idx:
-                raise _Stop(nodes)
-            poll[0] = min(cap, nodes + 4095)
+            stop_test(nodes)
         labelings[0] += sub_labelings
         credited[0] += sub_nodes
         return nodes
@@ -377,7 +376,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         # rec and descend refer to each other, so only the cycle collector
         # would free the memo: free it now
         memo.clear()
-    # a prefix that fails, or a cap below zero, stops before any counted node
+    # a pinned prefix that fails stops before any counted node
     return _TaskResult(max(nodes, 0), labelings[0], exhausted, witness,
                        tuple(sorted(valences)), credited[0])
 
@@ -395,6 +394,9 @@ class _TaskPrefixes(Sequence):
         # complement. sem_set's duality closure relies on this cap to recover
         # the rest
         self.p, self.first_max = p, (p + 1) // 2
+        # the prefix nodes counted: one per first label and one per pair. The
+        # tasks' pinned depths reject an infeasible pair without counting one
+        self.nodes = self.first_max * p
 
     def __len__(self) -> int:
         return self.first_max * (self.p - 1)
@@ -404,14 +406,6 @@ class _TaskPrefixes(Sequence):
             raise IndexError(i)
         first, second = divmod(i, self.p - 1)
         return first + 1, second + 1 + (second >= first)
-
-
-def _build_tasks(p: int) -> tuple[_TaskPrefixes, int]:
-    """The tasks' (first, second) label prefixes in lexicographic order, and
-    the prefix nodes counted: one per first label and one per pair. The
-    tasks' pinned depths reject an infeasible pair without counting a node."""
-    tasks = _TaskPrefixes(p)
-    return tasks, tasks.first_max + len(tasks)
 
 
 @dataclass
@@ -440,21 +434,18 @@ class _InlinePool(Executor):
 
 def _execute(g: Graph, budget: int, threads: int, collect: bool,
              prefix: tuple[int, ...] | None = None) -> _EngineResult:
-    """Run the tasks of ``_build_tasks``, or the one task that ``prefix``
+    """Run the tasks of ``_TaskPrefixes``, or the one task that ``prefix``
     (labels in assignment order) pins, at most a window ahead of an in-order
-    replay that applies sequential budget rules. A task's cap is the budget
-    less the prefix nodes and the nodes of every returned, exhausted task
-    before it: never below its sequential allowance, so a task that hits its
-    cap proves a sequential run would run out of budget too. Once the replay
-    stops, at the first witness or at the budget cut, tasks past the cut
-    quit."""
+    replay that applies sequential budget rules. A task's cap is what the
+    budget leaves after the nodes replayed when it is submitted: never below
+    its sequential allowance, so a task that hits its cap proves a sequential
+    run would run out of budget too. Once the replay stops, at the first
+    witness or at the budget cut, the abort value makes the tasks past the
+    cut quit, the queued ones at their first node."""
     plan = _make_plan(g)
-    if prefix is None:
-        tasks, prefix_nodes = _build_tasks(plan.p)
-    else:
-        tasks, prefix_nodes = [prefix], 0
-    out = _EngineResult(nodes=prefix_nodes)
-    if prefix_nodes > budget:
+    tasks = _TaskPrefixes(plan.p) if prefix is None else [prefix]
+    out = _EngineResult(nodes=tasks.nodes if prefix is None else 0)
+    if out.nodes > budget:
         out.nodes, out.exceeded = budget, True
         return out
     n = len(tasks)
@@ -472,11 +463,8 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
             while i < n:
                 if nxt < n and len(running) < window and (
                         nxt == i or not running[i].done()):
-                    cap = budget - out.nodes - sum(
-                        f.result().nodes for f in running.values()
-                        if f.done() and f.result().exhausted)
                     running[nxt] = pool.submit(_run_task, plan, collect, nxt,
-                                               tasks[nxt], cap)
+                                               tasks[nxt], budget - out.nodes)
                     nxt += 1
                     continue
                 res = running.pop(i).result()
@@ -501,10 +489,7 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
             if abort is not None:
                 with abort.get_lock():
                     abort.value = i - 1
-            for f in running.values():
-                f.cancel()
-    out.visited += sum(f.result().nodes for f in running.values()
-                       if not f.cancelled())
+    out.visited += sum(f.result().nodes for f in running.values())
     return out
 
 
@@ -571,7 +556,7 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
             threads: int | None = None) -> ValenceSet:
     """All valences realized by some labeling of g (full traversal).
 
-    Searches the tasks of ``_build_tasks``, whose first label is at most
+    Searches the tasks of ``_TaskPrefixes``, whose first label is at most
     (p+1)//2, and closes the result under complement duality, which covers
     the full bijection space exactly. An empty interval short-circuits.
     """

@@ -10,7 +10,7 @@ import pytest
 
 import semlab.cli as cli_mod
 import semlab.solver as solver_mod
-from semlab import make_cycle, serialize_graph
+from semlab import VerifyResult, make_cycle, serialize_graph
 from semlab.cli import main
 
 
@@ -160,13 +160,53 @@ def test_certificate_pipeline(tmp_path, capsys):
     assert code == 3 and "parse" in err
 
 
-def test_solve_unwritable_cert_out_exits_3(tmp_path, capsys):
-    # exit 1 would read as NOT_SEM: a write that fails is an input error
+def _no_search(*args, **kwargs):
+    raise RuntimeError("searched before every input was checked")
+
+
+def _exit_at_once(*args):
+    os._exit(1)
+
+
+def test_solve_unwritable_cert_out_exits_3(tmp_path, capsys, monkeypatch):
+    # exit 1 would read as NOT_SEM: a write that fails is an input error,
+    # and it is found before the search
+    monkeypatch.setattr(cli_mod, "search_sem", _no_search)
     path = tmp_path / "missing" / "c5.json"
     code, out, err = run(capsys, "solve", "--gen", "cycle", "5", "--threads",
                          "1", "--cert-out", str(path))
     assert code == 3 and out == ""
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_solve_cert_out_without_witness_writes_nothing(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        code, _, _ = run(capsys, "solve", "--gen", "cycle", "6",
+                         "--cert-out", str(path))
+        assert code == 1
+    assert not new.exists() and old.read_text() == "kept\n"
+
+
+def test_internal_failure_exits_4(capsys, monkeypatch):
+    # exit 1 would read as NOT_SEM: a failed self-check is no verdict
+    monkeypatch.setattr(solver_mod, "verify_sem",
+                        lambda g, cert: VerifyResult(False, "patched"))
+    code, out, err = run(capsys, "solve", "--gen", "cycle", "5", "--threads", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: AssertionError: ")
+
+
+def test_dead_worker_exits_4(capsys, monkeypatch):
+    # a pool worker that dies breaks the pool (order 9 and two threads start
+    # one); the forked workers inherit the patched task
+    monkeypatch.setattr(solver_mod, "_run_task", _exit_at_once)
+    assert solver_mod._PARALLEL_MIN_ORDER <= 9
+    code, out, err = run(capsys, "solve", "--gen", "cycle", "9",
+                         "--threads", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: BrokenProcessPool: ")
 
 
 def test_graph_inputs(tmp_path, capsys):
@@ -333,6 +373,9 @@ def test_sweep_three_cycle_series(capsys):
 
     code, _, err = run(capsys, "sweep", "three-cycle-series", "--k", "5..5")
     assert code == 3 and "max-order" in err
+    # k = 1 would make C(3,1): the graph builder rejects it
+    code, _, err = run(capsys, "sweep", "three-cycle-series", "--k", "1..1")
+    assert code == 3 and "cycle lengths must be >= 3" in err
 
 
 def test_sweep_budget_unknown_rows(capsys):
@@ -359,13 +402,25 @@ def test_sweep_output_file(tmp_path, capsys):
     assert path.read_text().count("\n") == 3
 
 
-def test_sweep_unwritable_output_exits_3(tmp_path, capsys):
+def test_sweep_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "search_sem", _no_search)
     path = tmp_path / "missing" / "sweep.csv"
     code, out, err = run(capsys, "sweep", "two-cycle-grid", "--m", "3..3",
                          "--n", "3..4", "--threads", "1",
                          "--output", str(path))
     assert code == 3 and out == ""
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_sweep_checks_every_row_before_searching(capsys, monkeypatch):
+    # C(3,15) and the k=5 row exceed --max-order 16; the rows before them
+    # (k=4 is an order-15 search) are not searched first
+    monkeypatch.setattr(cli_mod, "search_sem", _no_search)
+    for argv in (["two-cycle-grid", "--m", "3..3", "--n", "3..20"],
+                 ["three-cycle-series", "--k", "3..5"]):
+        code, out, err = run(capsys, "sweep", *argv, "--threads", "1")
+        assert (code, out) == (3, ""), argv
+        assert "max-order" in err, argv
 
 
 def test_render_plain(capsys):

@@ -185,12 +185,12 @@ def test_parallel_work_is_bounded_by_budget():
     # the cut each of its 112 tasks could visit the whole budget
     budget = 20_000
     g = make_two_cycle(3, 13)
-    tasks, prefix_nodes = solver_mod._build_tasks(g.order)
+    tasks = solver_mod._TaskPrefixes(g.order)
     assert len(tasks) == 112
     engine = solver_mod._execute(g, budget, 2, collect=False)
     assert engine.exceeded and engine.nodes == budget
     window = solver_mod._WINDOW_PER_WORKER * 2
-    assert budget - prefix_nodes <= engine.visited <= (window + 1) * budget
+    assert budget - tasks.nodes <= engine.visited <= (window + 1) * budget
 
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
@@ -324,12 +324,12 @@ def test_task_prefixes_are_made_on_demand():
     # task i's prefix comes from divmod(i, p - 1) and equals the i-th
     # (first, second) pair in lexicographic order
     for p in range(2, 13):
-        tasks, prefix_nodes = solver_mod._build_tasks(p)
+        tasks = solver_mod._TaskPrefixes(p)
         first_max = (p + 1) // 2
         pairs = [(a, b) for a in range(1, first_max + 1)
                  for b in range(1, p + 1) if b != a]
         assert list(tasks) == pairs, p
-        assert prefix_nodes == first_max + len(pairs)
+        assert tasks.nodes == first_max + len(pairs)
     # the star K(1,1500) has 1,126,500 tasks: a list of them as tuples takes
     # ~98 MB of traced memory before the budget cut ends the search. (Peak
     # RSS of a child process would not show it: on Linux a child starts from
