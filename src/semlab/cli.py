@@ -128,6 +128,8 @@ def _sniff_format(text: str) -> str:
 
 
 def load_graph(args) -> Graph:
+    if args.attach is not None and not (args.gen and args.gen[0] == "cactus"):
+        raise CliError("--attach applies only to --gen cactus")
     if args.gen:
         return _gen_graph(args)
     if args.g6:

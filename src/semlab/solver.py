@@ -31,8 +31,10 @@ streams the tasks to a worker pool (a pool of one, in this process, when
 single-threaded) and replays their results in prefix order as if they ran
 strictly sequentially, so statuses, valence sets, node counts and witnesses
 do not depend on the worker count. The witness is the lexicographically
-least in assignment order over the space covered. The node budget bounds
-the work done, not only the count reported.
+least in assignment order over the space covered. Each node visited counts
+once, pinned ones too, as in one sequential depth-first search of the tree,
+so a budget cut falls where that search would pass the budget. The budget
+bounds the work done, not only the count reported.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ class SearchOutcome:
                 "use_obstructions": self.config.use_obstructions,
                 "budget": self.config.budget,
                 "threads": self.config.resolved_threads(),
-                "prefix": [list(t) for t in self.prefix] if self.prefix else None,
+                "prefix": (None if self.prefix is None
+                           else [list(t) for t in self.prefix]),
             },
         }
 
@@ -241,10 +244,12 @@ def _pool_init(abort_value):
 
 
 def _run_task(plan: _Plan, collect: bool, idx: int,
-              prefix_labels: tuple[int, ...], cap: int) -> _TaskResult:
+              prefix_labels: tuple[int, ...], shared: int, cap: int) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
-    ``collect`` gathers every valence over a full traversal; otherwise the
-    task stops at its first witness. ``idx`` is its place in prefix order.
+    Every node visited counts, pinned ones too, but the first ``shared``
+    pinned nodes, which an earlier task counted. ``collect`` gathers every
+    valence over a full traversal; otherwise the task stops at its first
+    witness. ``idx`` is its place in prefix order.
 
     The search recurses once per depth, so the task raises the recursion
     limit, which is process-wide, to fit p frames above its callers'. It
@@ -264,9 +269,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # one test per node serves the cap and, in a pool worker, the abort poll
     # at every 4096th node: poll[0] is whichever of the two comes first
     poll = [cap if abort_box is None else min(cap, 0)]
-    # pinned depths try only their label. Like the prefix enumeration that
-    # made them, they count no nodes: the count starts below zero by the
-    # prefix length
+    # pinned depths try only their label
     start = len(prefix_labels)
     choices = [(lab,) for lab in prefix_labels] + [range(1, p + 1)] * (p - start)
     # past the last edge any fill of the unused labels works, so the leaf is
@@ -369,15 +372,14 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         if start <= d < leaf:
             descend[d] = seam
     try:
-        nodes, witness, exhausted = rec(0, 2 * p + 1, 0, -start), None, True
+        nodes, witness, exhausted = rec(0, 2 * p + 1, 0, -shared), None, True
     except _Stop as stop:
         nodes, witness, exhausted = stop.nodes, stop.witness, False
     finally:
         # rec and descend refer to each other, so only the cycle collector
         # would free the memo: free it now
         memo.clear()
-    # a pinned prefix that fails stops before any counted node
-    return _TaskResult(max(nodes, 0), labelings[0], exhausted, witness,
+    return _TaskResult(nodes, labelings[0], exhausted, witness,
                        tuple(sorted(valences)), credited[0])
 
 
@@ -394,9 +396,6 @@ class _TaskPrefixes(Sequence):
         # complement. sem_set's duality closure relies on this cap to recover
         # the rest
         self.p, self.first_max = p, (p + 1) // 2
-        # the prefix nodes counted: one per first label and one per pair. The
-        # tasks' pinned depths reject an infeasible pair without counting one
-        self.nodes = self.first_max * p
 
     def __len__(self) -> int:
         return self.first_max * (self.p - 1)
@@ -410,7 +409,7 @@ class _TaskPrefixes(Sequence):
 
 @dataclass
 class _EngineResult:
-    nodes: int
+    nodes: int = 0
     labelings: int = 0
     witness: tuple[int, ...] | None = None
     valences: set[int] = field(default_factory=set)
@@ -444,10 +443,7 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     cut quit, the queued ones at their first node."""
     plan = _make_plan(g)
     tasks = _TaskPrefixes(plan.p) if prefix is None else [prefix]
-    out = _EngineResult(nodes=tasks.nodes if prefix is None else 0)
-    if out.nodes > budget:
-        out.nodes, out.exceeded = budget, True
-        return out
+    out = _EngineResult()
     n = len(tasks)
     if threads > 1 and n > 1 and plan.p >= _PARALLEL_MIN_ORDER:
         window = _WINDOW_PER_WORKER * min(threads, n)
@@ -463,8 +459,12 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
             while i < n:
                 if nxt < n and len(running) < window and (
                         nxt == i or not running[i].done()):
+                    # tasks under one first label share its node: the first
+                    # of them counts it
+                    shared = int(nxt > 0 and tasks[nxt - 1][0] == tasks[nxt][0])
                     running[nxt] = pool.submit(_run_task, plan, collect, nxt,
-                                               tasks[nxt], budget - out.nodes)
+                                               tasks[nxt], shared,
+                                               budget - out.nodes)
                     nxt += 1
                     continue
                 res = running.pop(i).result()
@@ -518,16 +518,15 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
     cfg = config or SearchConfig()
     start = time.perf_counter()
     q = g.size
+    norm = None if prefix is None else _normalize_prefix(g, prefix)
 
-    def outcome(status, witness=None, obstruction=None, engine=None,
-                norm_prefix=None):
+    def outcome(status, witness=None, obstruction=None, engine=None):
         millis = round((time.perf_counter() - start) * 1000.0, 3)
-        nodes = engine.nodes if engine else 0
-        labelings = engine.labelings if engine else 0
+        engine = engine or _EngineResult()
         interval = sem_interval(g) if q else None
+        stats = SearchStats(engine.nodes, engine.labelings, millis)
         return SearchOutcome(g, status, witness, obstruction, interval, None,
-                             SearchStats(nodes, labelings, millis), cfg,
-                             norm_prefix)
+                             stats, cfg, norm)
 
     if q == 0:
         return outcome(STATUS_TRIVIAL_EDGELESS)
@@ -536,7 +535,6 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
         if verdict is not None:
             return outcome(STATUS_NOT_SEM_OBSTRUCTION, obstruction=verdict)
 
-    norm = None if prefix is None else _normalize_prefix(g, prefix)
     engine = _execute(g, cfg.budget, cfg.resolved_threads(), False,
                       None if norm is None else tuple(lab for _, lab in norm))
 
@@ -545,11 +543,10 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
         check = verify_sem(g, cert)
         if not check:
             raise AssertionError(f"witness fails verification: {check.reason}")
-        return outcome(STATUS_SEM, witness=cert, engine=engine, norm_prefix=norm)
+        return outcome(STATUS_SEM, witness=cert, engine=engine)
     if engine.exceeded:
-        return outcome(STATUS_UNKNOWN_BUDGET_EXCEEDED, engine=engine,
-                       norm_prefix=norm)
-    return outcome(STATUS_NOT_SEM_EXHAUSTED, engine=engine, norm_prefix=norm)
+        return outcome(STATUS_UNKNOWN_BUDGET_EXCEEDED, engine=engine)
+    return outcome(STATUS_NOT_SEM_EXHAUSTED, engine=engine)
 
 
 def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,

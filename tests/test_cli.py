@@ -295,6 +295,15 @@ def test_gen_cactus(capsys):
     assert code == 3
 
 
+def test_attach_needs_gen_cactus(capsys):
+    for args in (("solve", "--gen", "cycle", "5", "--attach", "0:0"),
+                 ("interval", "--gen", "two-cycle", "3", "5", "--attach", "0:9"),
+                 ("solve", "--g6", "Bw", "--attach")):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, ""), args
+        assert "--attach applies only to --gen cactus" in err
+
+
 def test_interval_valences_perfect(capsys):
     code, out, _ = run(capsys, "interval", "--gen", "two-cycle", "3", "5")
     assert code == 0 and "[19, 20]" in out

@@ -150,10 +150,10 @@ def test_budget_is_deterministic_across_threads():
         ]
         assert {o.status for o in outs} == {STATUS_UNKNOWN_BUDGET_EXCEEDED}
         assert {o.stats.nodes for o in outs} == {budget}
-    # C(3,9) reaches its witness at node 399,634: one node short of it, and
+    # C(3,9) reaches its witness at node 399,594: one node short of it, and
     # exactly at it, where a task's cap meets its sequential allowance
-    for budget, status in ((399_633, STATUS_UNKNOWN_BUDGET_EXCEEDED),
-                           (399_634, STATUS_SEM)):
+    for budget, status in ((399_593, STATUS_UNKNOWN_BUDGET_EXCEEDED),
+                           (399_594, STATUS_SEM)):
         outs = [search_sem(make_two_cycle(3, 9),
                            SearchConfig(threads=t, budget=budget))
                 for t in (1, 2, 4)]
@@ -185,30 +185,30 @@ def test_parallel_work_is_bounded_by_budget():
     # the cut each of its 112 tasks could visit the whole budget
     budget = 20_000
     g = make_two_cycle(3, 13)
-    tasks = solver_mod._TaskPrefixes(g.order)
-    assert len(tasks) == 112
+    assert len(solver_mod._TaskPrefixes(g.order)) == 112
     engine = solver_mod._execute(g, budget, 2, collect=False)
     assert engine.exceeded and engine.nodes == budget
     window = solver_mod._WINDOW_PER_WORKER * 2
-    assert budget - tasks.nodes <= engine.visited <= (window + 1) * budget
+    assert budget <= engine.visited <= (window + 1) * budget
 
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     # one test per node serves the cap and, in a pool worker, the abort poll
-    # at every 4096th node; a task of C(3,9) with 14,740 nodes stops at
-    # exactly its cap on either side of a poll, with and without an abort box
+    # at every 4096th node; a task of C(3,9) with 14,741 nodes (its first
+    # label's node is shared) stops at exactly its cap on either side of a
+    # poll, with and without an abort box
     plan = solver_mod._make_plan(make_two_cycle(3, 9))
     box = mp.Value("q", 10**6)
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
         for cap in (4095, 4096, 4097, 8192):
-            res = solver_mod._run_task(plan, True, 5, (1, 3), cap)
+            res = solver_mod._run_task(plan, True, 5, (1, 3), 1, cap)
             assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
-        res = solver_mod._run_task(plan, True, 5, (1, 3), 10**9)
-        assert (res.nodes, res.exhausted) == (14_740, True)
+        res = solver_mod._run_task(plan, True, 5, (1, 3), 1, 10**9)
+        assert (res.nodes, res.exhausted) == (14_741, True)
     # a task whose index lies past the abort value quits at its first poll
     box.value = 4
-    res = solver_mod._run_task(plan, True, 5, (1, 3), 10**9)
+    res = solver_mod._run_task(plan, True, 5, (1, 3), 1, 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
 
 
@@ -236,20 +236,20 @@ def test_seams_of_the_plan():
 
 
 def test_task_cap_is_exact_on_a_memo_hit(monkeypatch):
-    # task 11 of C(3,4) + C4, prefix (2, 4), takes 7,461 nodes, 3,272 of them
-    # credited from its seam memo. Its hit at node 1,453 credits 40 nodes,
-    # and its hit at node 4,073 credits 32, across the abort poll at node
-    # 4,097. A cap inside either stops the task at exactly the cap, as a
-    # search of the subtree would
+    # task 11 of C(3,4) + C4, prefix (2, 4) under a shared first label, takes
+    # 7,462 nodes, 3,272 of them credited from its seam memo. Its hit at node
+    # 1,454 credits 40 nodes, and its hit at node 4,074 credits 32, across the
+    # abort poll at node 4,097. A cap inside either stops the task at exactly
+    # the cap, as a search of the subtree would
     plan = solver_mod._make_plan(C34_C4)
     box = mp.Value("q", 10**6)
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
-        for cap in (1454, 1470, 1492, 1493, 4080, 4096, 4097, 4104):
-            res = solver_mod._run_task(plan, True, 11, (2, 4), cap)
+        for cap in (1455, 1471, 1493, 1494, 4081, 4096, 4097, 4105):
+            res = solver_mod._run_task(plan, True, 11, (2, 4), 1, cap)
             assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
-        res = solver_mod._run_task(plan, True, 11, (2, 4), 10**9)
-        assert (res.nodes, res.exhausted, res.credited) == (7_461, True, 3_272)
+        res = solver_mod._run_task(plan, True, 11, (2, 4), 1, 10**9)
+        assert (res.nodes, res.exhausted, res.credited) == (7_462, True, 3_272)
 
     class AbortAfterFirstPoll:
         # passes the poll at node 1, then tells the task to quit
@@ -262,16 +262,16 @@ def test_task_cap_is_exact_on_a_memo_hit(monkeypatch):
 
     # the next poll is the hit's: the task quits on the jumped count
     monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
-    res = solver_mod._run_task(plan, True, 11, (2, 4), 10**9)
-    assert (res.nodes, res.exhausted) == (4_105, False)
+    res = solver_mod._run_task(plan, True, 11, (2, 4), 1, 10**9)
+    assert (res.nodes, res.exhausted) == (4_106, False)
 
 
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
-    # budgets in the prefix, inside task 11's hits at nodes 1,453 and 4,073
-    # (61,393 nodes come before the task), midway, and at the end
+    # budgets in the first task, inside task 11's hits at nodes 1,454 and
+    # 4,074 (61,356 nodes come before the task), midway, and at the end
     g = C34_C4
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
-    for budget in (17, 62_866, 65_482, 150_000, 300_591, 300_592):
+    for budget in (17, 62_830, 65_446, 150_000, 300_591, 300_592):
         outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
                                            budget=budget)) for t in (1, 2, 4)]
         assert {(o.status, o.stats.nodes) for o in outs} == {(
@@ -305,9 +305,9 @@ def test_disconnected_paper_family_is_pinned():
             (disjoint_union(make_two_cycle(3, 3), make_cycle(4)),
              STATUS_NOT_SEM_EXHAUSTED, 80_343, None, ()),
             (C34_C4, STATUS_NOT_SEM_EXHAUSTED, 300_592, None, ()),
-            (C33_C3_C3, STATUS_SEM, 457_158,
+            (C33_C3_C3, STATUS_SEM, 457_118,
              (3, 4, 11, 6, 10, 1, 5, 7, 2, 8, 9), (29, 30)),
-            (C45_C3, STATUS_SEM, 386_173,
+            (C45_C3, STATUS_SEM, 386_133,
              (3, 4, 2, 7, 5, 11, 1, 10, 6, 8, 9), (29, 30))):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         assert solver_mod._make_plan(g).seams
@@ -320,6 +320,22 @@ def test_disconnected_paper_family_is_pinned():
             assert sem_set(g, threads=threads).values == valences
 
 
+def test_split_counts_each_node_once():
+    # the split's count is that of one sequential search of its tree: the
+    # searches pinned at each first label up to (p+1)//2 add up to it, each
+    # first label's node counted once. The split's leaf lies below its two
+    # pins, so graphs whose edges all join the first two positions are left
+    # out: their leaf is depth 1 under one pin
+    graphs = [g for g in helpers.small_corpus(seed=53, n_random=30, n_cacti=8)
+              if g.size and solver_mod._make_plan(g).last > 2]
+    assert len(graphs) == 40
+    for g in graphs + [C34_C4]:
+        split = solver_mod._execute(g, 10**9, 1, True).nodes
+        pinned = sum(solver_mod._execute(g, 10**9, 1, True, (a,)).nodes
+                     for a in range(1, (g.order + 1) // 2 + 1))
+        assert split == pinned, g
+
+
 def test_task_prefixes_are_made_on_demand():
     # task i's prefix comes from divmod(i, p - 1) and equals the i-th
     # (first, second) pair in lexicographic order
@@ -329,11 +345,11 @@ def test_task_prefixes_are_made_on_demand():
         pairs = [(a, b) for a in range(1, first_max + 1)
                  for b in range(1, p + 1) if b != a]
         assert list(tasks) == pairs, p
-        assert tasks.nodes == first_max + len(pairs)
     # the star K(1,1500) has 1,126,500 tasks: a list of them as tuples takes
-    # ~98 MB of traced memory before the budget cut ends the search. (Peak
-    # RSS of a child process would not show it: on Linux a child starts from
-    # the high-water mark of the process that forked it)
+    # ~98 MB of traced memory before the first task's witness, 1,501 nodes
+    # in, ends the search. (Peak RSS of a child process would not show it:
+    # on Linux a child starts from the high-water mark of the process that
+    # forked it)
     g = Graph(1501, tuple((0, v) for v in range(1, 1501)))
     tracemalloc.start()
     try:
@@ -341,8 +357,10 @@ def test_task_prefixes_are_made_on_demand():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.status == STATUS_UNKNOWN_BUDGET_EXCEEDED
+    assert (out.status, out.stats.nodes) == (STATUS_SEM, 1_501)
     assert peak < 8 * 2**20
+    out = search_sem(g, SearchConfig(threads=2, budget=10**6))
+    assert (out.status, out.stats.nodes) == (STATUS_SEM, 1_501)
 
 
 def test_correctness_checks_survive_optimized_mode():
@@ -571,10 +589,10 @@ def test_node_counts_are_pinned():
     # exact counts and witnesses; node counts are deterministic, so any
     # change to the kernel's pruning, assignment step or task split shows here
     for (m, n), nodes, witness in (
-            ((3, 9), 399_634, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
-            ((5, 7), 414_286, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
-            ((3, 5), 1_216, (2, 5, 6, 4, 1, 3, 7)),
-            ((4, 4), 820, (2, 3, 1, 5, 6, 4, 7))):
+            ((3, 9), 399_594, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
+            ((5, 7), 414_246, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
+            ((3, 5), 1_200, (2, 5, 6, 4, 1, 3, 7)),
+            ((4, 4), 802, (2, 3, 1, 5, 6, 4, 7))):
         for threads in (1, 2):
             out = search_sem(make_two_cycle(m, n), SearchConfig(threads=threads))
             assert out.status == STATUS_SEM, (m, n)
@@ -597,23 +615,25 @@ def test_node_counts_are_pinned():
 
 
 def test_pinned_prefix_node_counts():
-    # pinned labels replay through the kernel's own loop but count no nodes
+    # pinned labels replay through the kernel's own loop, and each pinned
+    # node visited counts, as every other node does
     g = make_two_cycle(3, 5)
     order = assignment_order(g)
     witness = (2, 5, 6, 4, 1, 3, 7)
     for labs, status, nodes in (
             ((), STATUS_SEM, 1_200),
-            ((1,), STATUS_NOT_SEM_EXHAUSTED, 732),
-            ((2,), STATUS_SEM, 466),
-            ((1, 2), STATUS_NOT_SEM_EXHAUSTED, 118),
-            ((2, 5), STATUS_SEM, 90),
-            ((2, 1, 3), STATUS_NOT_SEM_EXHAUSTED, 26),
-            ((1, 2, 3, 5), STATUS_NOT_SEM_EXHAUSTED, 6),
-            ((2, 5, 6, 4), STATUS_SEM, 3),
-            # 1 + 4 repeats the sum 2 + 3 at the fourth pinned vertex
-            ((1, 2, 3, 4, 5), STATUS_NOT_SEM_EXHAUSTED, 0),
-            (witness, STATUS_SEM, 0),
-            ((1, 2, 3, 4, 5, 6, 7), STATUS_NOT_SEM_EXHAUSTED, 0)):
+            ((1,), STATUS_NOT_SEM_EXHAUSTED, 733),
+            ((2,), STATUS_SEM, 467),
+            ((1, 2), STATUS_NOT_SEM_EXHAUSTED, 120),
+            ((2, 5), STATUS_SEM, 92),
+            ((2, 1, 3), STATUS_NOT_SEM_EXHAUSTED, 29),
+            ((1, 2, 3, 5), STATUS_NOT_SEM_EXHAUSTED, 10),
+            ((2, 5, 6, 4), STATUS_SEM, 7),
+            # 1 + 4 repeats the sum 2 + 3 at the fourth pinned vertex, the
+            # last node visited
+            ((1, 2, 3, 4, 5), STATUS_NOT_SEM_EXHAUSTED, 4),
+            (witness, STATUS_SEM, 7),
+            ((1, 2, 3, 4, 5, 6, 7), STATUS_NOT_SEM_EXHAUSTED, 4)):
         for threads in (1, 2):
             cfg = SearchConfig(use_obstructions=False, threads=threads)
             out = search_sem(g, cfg, prefix=list(zip(order, labs)))
@@ -632,8 +652,8 @@ def test_pinned_depths_skip_fill():
     # labels starts, is the first free depth, whose nodes count. An empty
     # prefix pins no depth, so the leaf is the depth of the last edge
     for g, witness, counts in (
-            (Graph(3, ((0, 2),)), (1, 3, 2), (7, 2)),
-            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (44, 34))):
+            (Graph(3, ((0, 2),)), (1, 3, 2), (3, 2)),
+            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (34, 34))):
         for prefix, nodes in zip((None, ()), counts):
             out = search_sem(g, SearchConfig(threads=1), prefix=prefix)
             assert out.status == STATUS_SEM and out.stats.nodes == nodes
@@ -647,7 +667,7 @@ def test_deep_search_does_not_overflow_the_stack():
     for threads in (1, 2):
         out = search_sem(g, SearchConfig(threads=threads))
         assert out.status == STATUS_SEM and verify_sem(g, out.witness)
-        assert out.stats.nodes == 1_128_750
+        assert out.stats.nodes == 1_501
 
 
 def test_prefix_validation():
@@ -656,6 +676,13 @@ def test_prefix_validation():
         search_sem(g, SEQ, prefix=[(3, 1)])  # not first in assignment order
     with pytest.raises(ValueError):
         search_sem(g, SEQ, prefix=[(0, 1), (1, 1)])
+    # a bad prefix is an error even where no search would run: an edgeless
+    # graph, or a graph an obstruction decides
+    with pytest.raises(ValueError):
+        search_sem(make_two_cycle(3, 4), SearchConfig(threads=1),
+                   prefix=[(5, 1), (5, 1)])
+    with pytest.raises(ValueError):
+        search_sem(Graph(3, ()), SEQ, prefix=[(7, 9)])
 
 
 def test_outcome_json_shape():
@@ -678,6 +705,15 @@ def test_outcome_json_shape():
 
     out = search_sem(Graph(2, ()), SEQ)
     assert out.to_json_dict()["interval"] is None
+
+    # an empty prefix searches every bijection, the split only those whose
+    # first label is at most (p+1)//2: on K5, 25 nodes against 15
+    k5 = Graph(5, tuple(itertools.combinations(range(5), 2)))
+    outs = [search_sem(k5, SEQ, prefix=prefix) for prefix in ((), None)]
+    assert [o.stats.nodes for o in outs] == [25, 15]
+    assert [o.to_json_dict()["config"]["prefix"] for o in outs] == [[], None]
+    out = search_sem(make_cycle(5), SEQ, prefix=[(0, 1)])
+    assert out.to_json_dict()["config"]["prefix"] == [[0, 1]]
 
 
 def test_config_validation():
