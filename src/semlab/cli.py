@@ -265,29 +265,32 @@ def cmd_perfect(args) -> int:
 
 
 def _sweep_graphs(args):
-    """Yield (params_text, graph) rows in deterministic parameter order."""
+    """Yield (params_text, graph) rows in deterministic parameter order,
+    each checked against --max-order before it is built."""
+
+    def check(params, order):
+        if order > args.max_order:
+            raise CliError(f"sweep row {params} has order {order} > --max-order "
+                           f"{args.max_order}; raise the cap to allow it")
+        return params
+
     if args.family == "two-cycle-grid":
         for m in _parse_range(args.m):
             for n in _parse_range(args.n):
-                yield f"m={m};n={n}", make_two_cycle(m, n)
+                yield check(f"m={m};n={n}", m + n - 1), make_two_cycle(m, n)
     elif args.family == "three-cycle-series":
         for k in _parse_range(args.k):
-            yield f"k={k}", make_two_cycle(3, 4 * k - 3)
+            yield check(f"k={k}", 4 * k - 1), make_two_cycle(3, 4 * k - 3)
     elif args.family == "degseq-4-2":
         for order in _parse_range(args.order):
+            check(f"order={order}", order)
             for name, g in degseq_4_2_realizations(order):
                 yield f"order={order};graph={name}", g
 
 
 def cmd_sweep(args) -> int:
     cfg = _config(args)
-    rows = []  # every row is built and checked before the first search
-    for params, g in _sweep_graphs(args):
-        if g.order > args.max_order:
-            raise CliError(
-                f"sweep row {params} has order {g.order} > --max-order "
-                f"{args.max_order}; raise the cap to allow it")
-        rows.append((params, g))
+    rows = list(_sweep_graphs(args))  # all built and checked before a search
     header = ["family", "params", "order", "size", "obstruction", "status",
               "interval_lo", "interval_hi", "valence_set", "nodes"]
     if args.timing:

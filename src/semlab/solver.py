@@ -22,8 +22,8 @@ with a neighbor further down; at a seam the finished component adds no
 live position, so many labelings of it meet in one such key. Equal keys
 mean equal subtrees, so each task keeps a bounded memo of the subtrees it
 searched whole below its seams and credits their nodes and labelings on a
-repeat instead of searching them again. Node counts stay exact, the budget
-still bounds the nodes searched, and a connected graph has no seam.
+repeat instead of searching them again. Node counts stay exact, and a
+connected graph has no seam.
 
 Work splits deterministically on the top two label assignments; each
 subtree is a task, whose two labels follow from its index. One executor
@@ -32,9 +32,10 @@ single-threaded) and replays their results in prefix order as if they ran
 strictly sequentially, so statuses, valence sets, node counts and witnesses
 do not depend on the worker count. The witness is the lexicographically
 least in assignment order over the space covered. Each node visited counts
-once, pinned ones too, as in one sequential depth-first search of the tree,
-so a budget cut falls where that search would pass the budget. The budget
-bounds the work done, not only the count reported.
+once, pinned ones too, as in one sequential depth-first search of the tree.
+The budget bounds the nodes searched, not those credited, so a budget cut
+falls where that search would have searched more than the budget: it
+bounds the work done, not the count reported.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class _TaskResult:
     """One subtree's search. A task that stops at its first witness (vertex
     labels by vertex) or at its cap has not ``exhausted`` its subtree."""
 
-    nodes: int
+    nodes: int  # searched and credited: those a search without memo counts
     labelings: int
     exhausted: bool
     witness: tuple[int, ...] | None
@@ -222,7 +223,7 @@ class _TaskResult:
 
 class _Stop(Exception):
     """A task stops before covering its subtree: at its first witness, at
-    its node cap or when told to abort. Carries the nodes counted."""
+    its node cap or when told to abort. Carries the nodes searched."""
 
     def __init__(self, nodes: int, witness: tuple[int, ...] | None = None):
         self.nodes, self.witness = nodes, witness
@@ -245,11 +246,11 @@ def _pool_init(abort_value):
 
 def _run_task(plan: _Plan, collect: bool, idx: int,
               prefix_labels: tuple[int, ...], shared: int, cap: int) -> _TaskResult:
-    """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
-    Every node visited counts, pinned ones too, but the first ``shared``
-    pinned nodes, which an earlier task counted. ``collect`` gathers every
-    valence over a full traversal; otherwise the task stops at its first
-    witness. ``idx`` is its place in prefix order.
+    """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes,
+    memo credits aside. Every node visited counts, pinned ones too, but the
+    first ``shared`` pinned nodes, which an earlier task counted. ``collect``
+    gathers every valence over a full traversal; otherwise the task stops at
+    its first witness. ``idx`` is its place in prefix order.
 
     The search recurses once per depth, so the task raises the recursion
     limit, which is process-wide, to fit p frames above its callers'. It
@@ -269,9 +270,10 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # one test per node serves the cap and, in a pool worker, the abort poll
     # at every 4096th node: poll[0] is whichever of the two comes first
     poll = [cap if abort_box is None else min(cap, 0)]
-    # pinned depths try only their label
+    # pinned depths try only their label, the others one shared tuple (a
+    # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
-    choices = [(lab,) for lab in prefix_labels] + [range(1, p + 1)] * (p - start)
+    choices = [(lab,) for lab in prefix_labels] + [tuple(range(1, p + 1))] * (p - start)
     # past the last edge any fill of the unused labels works, so the leaf is
     # the last depth with an edge, or the first free one below the pins. Its
     # ascending fill is the least of the (p-1-leaf)! completions it stands for
@@ -281,15 +283,6 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     valences: set[int] = set()
     # the search below each depth: rec, or at a seam the memo in front of it
     descend = []
-
-    def stop_test(nodes):
-        # past poll[0]: stop at the cap, or in a pool worker once the abort
-        # value is below this task's index; else move the poll on
-        if nodes > cap:
-            raise _Stop(cap)
-        if abort_box.value < idx:
-            raise _Stop(nodes)
-        poll[0] = min(cap, nodes + 4095)
 
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
@@ -301,7 +294,11 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                 continue
             nodes += 1
             if nodes > poll[0]:
-                stop_test(nodes)
+                # stop past the cap, or in a pool worker once the abort
+                # value is below this task's index; else move the poll on
+                if nodes > cap or abort_box.value < idx:
+                    raise _Stop(min(nodes, cap))
+                poll[0] = min(cap, nodes + 4095)
             # the new sums differ as the earlier labels do, which stay put
             # while this depth is live: test them all, then mark them
             new_min, new_max = cmin, cmax
@@ -340,9 +337,10 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         return nodes
 
     # the seam memo (module docstring): cmin and cmax are the least and
-    # greatest sums in use, so the key holds all the subtree reads. A hit's
-    # valences are in the set already. Keys at different seams differ in
-    # the number of labels in use
+    # greatest sums in use, so the key holds all the subtree reads. An entry
+    # counts a subtree's nodes, searched and credited; a hit searches none,
+    # so it meets no cap, and its valences are in the set already. Keys at
+    # different seams differ in the number of labels in use
     live_labels = {d: itemgetter(*live) if live else (lambda labels: None)
                    for d, live in plan.seams}
     memo: dict[tuple, tuple[int, int]] = {}
@@ -353,18 +351,14 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         key = bytes(used_label + used_sum), live_labels[d](labels_at)
         hit = memo.get(key)
         if hit is None:
-            before = labelings[0]
+            before = nodes + credited[0], labelings[0]
             # a witness or a stop raises past the store
-            after = rec(d, cmin, cmax, nodes)
+            nodes = rec(d, cmin, cmax, nodes)
             if len(memo) < _MEMO_MAX_ENTRIES:
-                memo[key] = (after - nodes, labelings[0] - before)
-            return after
-        sub_nodes, sub_labelings = hit
-        nodes += sub_nodes
-        if nodes > poll[0]:
-            stop_test(nodes)
-        labelings[0] += sub_labelings
-        credited[0] += sub_nodes
+                memo[key] = nodes + credited[0] - before[0], labelings[0] - before[1]
+            return nodes
+        credited[0] += hit[0]
+        labelings[0] += hit[1]
         return nodes
 
     descend += [rec] * (leaf + 1)
@@ -379,7 +373,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         # rec and descend refer to each other, so only the cycle collector
         # would free the memo: free it now
         memo.clear()
-    return _TaskResult(nodes, labelings[0], exhausted, witness,
+    return _TaskResult(nodes + credited[0], labelings[0], exhausted, witness,
                        tuple(sorted(valences)), credited[0])
 
 
@@ -409,12 +403,12 @@ class _TaskPrefixes(Sequence):
 
 @dataclass
 class _EngineResult:
-    nodes: int = 0
+    nodes: int = 0  # searched and credited; at a cut, the budget + credited
     labelings: int = 0
     witness: tuple[int, ...] | None = None
     valences: set[int] = field(default_factory=set)
     exceeded: bool = False
-    visited: int = 0  # nodes of every task that ran, discarded ones too
+    visited: int = 0  # nodes searched by every task that ran, discarded too
     credited: int = 0  # of the nodes, those taken from seam memos unsearched
 
 
@@ -435,12 +429,13 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
              prefix: tuple[int, ...] | None = None) -> _EngineResult:
     """Run the tasks of ``_TaskPrefixes``, or the one task that ``prefix``
     (labels in assignment order) pins, at most a window ahead of an in-order
-    replay that applies sequential budget rules. A task's cap is what the
-    budget leaves after the nodes replayed when it is submitted: never below
-    its sequential allowance, so a task that hits its cap proves a sequential
-    run would run out of budget too. Once the replay stops, at the first
-    witness or at the budget cut, the abort value makes the tasks past the
-    cut quit, the queued ones at their first node."""
+    replay that applies sequential budget rules to the nodes searched. A
+    task's cap is what the budget leaves after the tasks replayed when it is
+    submitted: never below its sequential allowance, so a task that hits its
+    cap proves a sequential run would run out of budget too. A cut reports
+    the budget plus the credits replayed before it. Once the replay stops,
+    at the first witness or at the budget cut, the abort value makes the
+    tasks past the cut quit, the queued ones at their first node."""
     plan = _make_plan(g)
     tasks = _TaskPrefixes(plan.p) if prefix is None else [prefix]
     out = _EngineResult()
@@ -457,24 +452,24 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     with pool:
         try:
             while i < n:
+                left = budget - (out.nodes - out.credited)
                 if nxt < n and len(running) < window and (
                         nxt == i or not running[i].done()):
                     # tasks under one first label share its node: the first
                     # of them counts it
                     shared = int(nxt > 0 and tasks[nxt - 1][0] == tasks[nxt][0])
                     running[nxt] = pool.submit(_run_task, plan, collect, nxt,
-                                               tasks[nxt], shared,
-                                               budget - out.nodes)
+                                               tasks[nxt], shared, left)
                     nxt += 1
                     continue
                 res = running.pop(i).result()
-                out.visited += res.nodes
-                allowed = budget - out.nodes
-                found = res.witness is not None and res.nodes <= allowed
-                if not found and (not res.exhausted or res.nodes > allowed):
+                searched = res.nodes - res.credited
+                out.visited += searched
+                found = res.witness is not None and searched <= left
+                if not found and (not res.exhausted or searched > left):
                     # a strictly sequential run would have exhausted the
                     # budget inside this task before covering it
-                    out.nodes, out.exceeded = budget, True
+                    out.nodes, out.exceeded = budget + out.credited, True
                     break
                 out.nodes += res.nodes
                 out.labelings += res.labelings
@@ -489,7 +484,8 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
             if abort is not None:
                 with abort.get_lock():
                     abort.value = i - 1
-    out.visited += sum(f.result().nodes for f in running.values())
+    out.visited += sum(f.result().nodes - f.result().credited
+                       for f in running.values())
     return out
 
 

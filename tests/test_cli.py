@@ -432,6 +432,23 @@ def test_sweep_checks_every_row_before_searching(capsys, monkeypatch):
         assert "max-order" in err, argv
 
 
+def test_sweep_refuses_a_row_before_building_it(capsys, monkeypatch):
+    # a row's order follows from its parameters: degseq-4-2 at order 50
+    # would build 89,134 graphs and k = 300,000 a graph on 1.2 M vertices
+    # before the cap refused them
+    def no_build(*args):
+        raise AssertionError("a row over --max-order was built")
+
+    monkeypatch.setattr(cli_mod, "degseq_4_2_realizations", no_build)
+    monkeypatch.setattr(cli_mod, "make_two_cycle", no_build)
+    for argv in (["degseq-4-2", "--order", "17..17"],
+                 ["three-cycle-series", "--k", "300000..300000"],
+                 ["two-cycle-grid", "--m", "3..3", "--n", "15..15"]):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out) == (3, ""), argv
+        assert "max-order" in err, argv
+
+
 def test_render_plain(capsys):
     code, out, _ = run(capsys, "render", "--gen", "cycle", "3")
     assert code == 0

@@ -235,21 +235,24 @@ def test_seams_of_the_plan():
         assert solver_mod._make_plan(g).seams == seams, g
 
 
-def test_task_cap_is_exact_on_a_memo_hit(monkeypatch):
-    # task 11 of C(3,4) + C4, prefix (2, 4) under a shared first label, takes
-    # 7,462 nodes, 3,272 of them credited from its seam memo. Its hit at node
-    # 1,454 credits 40 nodes, and its hit at node 4,074 credits 32, across the
-    # abort poll at node 4,097. A cap inside either stops the task at exactly
-    # the cap, as a search of the subtree would
+def test_a_memo_hit_never_stops_a_task(monkeypatch):
+    # task 11 of C(3,4) + C4, prefix (2, 4) under a shared first label,
+    # searches 4,190 nodes and credits 3,272 more from its seam memo. Its
+    # first hit, 254 nodes in, credits 20, and its last, 4,189 nodes in,
+    # credits 32. The cap bounds the nodes searched: a credit that takes the
+    # count past the cap stops nothing, and the task stops only at a
+    # searched node past its cap, with and without an abort box
     plan = solver_mod._make_plan(C34_C4)
     box = mp.Value("q", 10**6)
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
-        for cap in (1455, 1471, 1493, 1494, 4081, 4096, 4097, 4105):
+        for cap, nodes, credited, exhausted in (
+                (253, 253, 0, False), (254, 274, 20, False),
+                (4_189, 7_461, 3_272, False), (4_190, 7_462, 3_272, True),
+                (10**9, 7_462, 3_272, True)):
             res = solver_mod._run_task(plan, True, 11, (2, 4), 1, cap)
-            assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
-        res = solver_mod._run_task(plan, True, 11, (2, 4), 1, 10**9)
-        assert (res.nodes, res.exhausted, res.credited) == (7_462, True, 3_272)
+            assert (res.nodes, res.credited, res.exhausted) == (
+                nodes, credited, exhausted), (abort, cap)
 
     class AbortAfterFirstPoll:
         # passes the poll at node 1, then tells the task to quit
@@ -260,23 +263,48 @@ def test_task_cap_is_exact_on_a_memo_hit(monkeypatch):
             self.polls += 1
             return 10**6 if self.polls == 1 else 0
 
-    # the next poll is the hit's: the task quits on the jumped count
+    # a hit polls nothing: the task quits at the kernel's next poll, node
+    # 4,097, with the 2,868 nodes credited before it
     monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
     res = solver_mod._run_task(plan, True, 11, (2, 4), 1, 10**9)
-    assert (res.nodes, res.exhausted) == (4_106, False)
+    assert (res.nodes, res.credited, res.exhausted) == (6_965, 2_868, False)
+
+
+def test_memo_credits_cost_no_budget():
+    # the budget bounds the nodes searched: C(3,4) + C4 searches 174,142 of
+    # its 300,592 nodes, and 3C3 2,504 of its 3,669, so a budget between
+    # the two decides it, at threads 1 and 2 alike
+    c3_c3_c3 = disjoint_union(make_cycle(3), make_cycle(3), make_cycle(3))
+    for g, budget, status, nodes, searched in (
+            (C34_C4, 200_000, STATUS_NOT_SEM_EXHAUSTED, 300_592, 174_142),
+            (c3_c3_c3, 3_000, STATUS_SEM, 3_669, 2_504)):
+        assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+        for threads in (1, 2):
+            out = search_sem(g, SearchConfig(use_obstructions=False,
+                                             threads=threads, budget=budget))
+            assert (out.status, out.stats.nodes) == (status, nodes), g
+            engine = solver_mod._execute(g, budget, threads, False)
+            assert engine.nodes - engine.credited == searched
 
 
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
-    # budgets in the first task, inside task 11's hits at nodes 1,454 and
-    # 4,074 (61,356 nodes come before the task), midway, and at the end
+    # a cut reports the budget plus the nodes credited in the tasks replayed
+    # before it. Budgets in the first task; in task 11 (36,196 nodes
+    # searched and 25,160 credited come before it) at its first and last
+    # hits; just past task 11, whose 3,272 credits then count; and one short
+    # of the 174,142 nodes searched in all
     g = C34_C4
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
-    for budget in (17, 62_830, 65_446, 150_000, 300_591, 300_592):
+    for budget, status, nodes in (
+            (17, STATUS_UNKNOWN_BUDGET_EXCEEDED, 17),
+            (36_450, STATUS_UNKNOWN_BUDGET_EXCEEDED, 61_610),
+            (40_385, STATUS_UNKNOWN_BUDGET_EXCEEDED, 65_545),
+            (40_386, STATUS_UNKNOWN_BUDGET_EXCEEDED, 68_818),
+            (174_141, STATUS_UNKNOWN_BUDGET_EXCEEDED, 297_363),
+            (174_142, STATUS_NOT_SEM_EXHAUSTED, 300_592)):
         outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
                                            budget=budget)) for t in (1, 2, 4)]
-        assert {(o.status, o.stats.nodes) for o in outs} == {(
-            STATUS_NOT_SEM_EXHAUSTED if budget == 300_592
-            else STATUS_UNKNOWN_BUDGET_EXCEEDED, budget)}
+        assert {(o.status, o.stats.nodes) for o in outs} == {(status, nodes)}
         runs = [solver_mod._execute(g, budget, t, collect=True)
                 for t in (1, 2, 4)]
         assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
