@@ -11,9 +11,9 @@ Nakamigawa & Ringel 1998), so there the window has width -1 and every edge
 placed kills its branch. Any bijection that survives is extendable (q
 distinct sums inside a width-(q-1) window must be consecutive). Past the
 last vertex with an edge every fill of the unused labels survives, so
-reaching the leaf depth, the last one with an edge (or the first free one
-below a pinned prefix), is a witness: its ascending fill is the least of the
-labelings that node stands for.
+reaching the leaf depth, the last one with an edge (or the last pinned one,
+if deeper), is a witness: its ascending fill is the least of the labelings
+that node stands for.
 
 A seam is the depth just past the last position of a component (any but
 the one that ends last). Below any depth the search reads only the labels
@@ -25,12 +25,12 @@ searched whole below its seams and credits their nodes and labelings on a
 repeat instead of searching them again. Node counts stay exact, and a
 connected graph has no seam.
 
-Work splits deterministically on the top two label assignments; each
-subtree is a task, whose two labels follow from its index. One executor
-streams the tasks to a worker pool (a pool of one, in this process, when
-single-threaded) and replays their results in prefix order as if they ran
-strictly sequentially, so statuses, valence sets, node counts and witnesses
-do not depend on the worker count. The witness is the lexicographically
+Work splits deterministically on the first label: the subtree under each
+is a task, whose seam memo spans all of it. One executor streams the tasks
+to a worker pool (a pool of one, in this process, when single-threaded)
+and replays their results in prefix order as if they ran strictly
+sequentially, so statuses, valence sets, node counts and witnesses do not
+depend on the worker count. The witness is the lexicographically
 least in assignment order over the space covered. Each node visited counts
 once, pinned ones too, as in one sequential depth-first search of the tree.
 The budget bounds the nodes searched, not those credited, so a budget cut
@@ -46,7 +46,7 @@ import multiprocessing as mp
 import os
 import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -233,9 +233,9 @@ _WORKER_ABORT = None  # set by the pool initializer in worker processes
 
 # entries a task's seam memo holds at most; past it the memo only answers.
 # An entry takes ~190 bytes at order 12 and ~340 at order 20 (tracemalloc),
-# so a full memo takes 6-11 MB per task. The most measured is 4,442 entries,
-# in a task of C6 + C(3,4); order-13 unions of a two-cycle and cycles peak at
-# 1,306
+# so a full memo takes 6-11 MB per task. C6 + C(3,4) peaks at 7,529 entries;
+# over the (4, 2, ..., 2) graphs, order 12 peaks at 7,667 (C(4,5) + C4) and
+# order 13 at 30,338 (C(4,5) + C5), so from order 14 a task may fill it
 _MEMO_MAX_ENTRIES = 1 << 15
 
 
@@ -245,12 +245,11 @@ def _pool_init(abort_value):
 
 
 def _run_task(plan: _Plan, collect: bool, idx: int,
-              prefix_labels: tuple[int, ...], shared: int, cap: int) -> _TaskResult:
+              prefix_labels: tuple[int, ...], cap: int) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes,
-    memo credits aside. Every node visited counts, pinned ones too, but the
-    first ``shared`` pinned nodes, which an earlier task counted. ``collect``
-    gathers every valence over a full traversal; otherwise the task stops at
-    its first witness. ``idx`` is its place in prefix order.
+    memo credits aside. Every node visited counts, pinned ones too.
+    ``collect`` gathers every valence over a full traversal; otherwise the
+    task stops at its first witness. ``idx`` is its place in prefix order.
 
     The search recurses once per depth, so the task raises the recursion
     limit, which is process-wide, to fit p frames above its callers'. It
@@ -275,9 +274,9 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     start = len(prefix_labels)
     choices = [(lab,) for lab in prefix_labels] + [tuple(range(1, p + 1))] * (p - start)
     # past the last edge any fill of the unused labels works, so the leaf is
-    # the last depth with an edge, or the first free one below the pins. Its
+    # the last depth with an edge, or the last pinned one if deeper. Its
     # ascending fill is the least of the (p-1-leaf)! completions it stands for
-    leaf = min(p - 1, max(plan.last - 1, start))
+    leaf = max(plan.last, start) - 1
     covered = math.factorial(p - 1 - leaf)
     labelings = [0]
     valences: set[int] = set()
@@ -366,7 +365,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         if start <= d < leaf:
             descend[d] = seam
     try:
-        nodes, witness, exhausted = rec(0, 2 * p + 1, 0, -shared), None, True
+        nodes, witness, exhausted = rec(0, 2 * p + 1, 0, 0), None, True
     except _Stop as stop:
         nodes, witness, exhausted = stop.nodes, stop.witness, False
     finally:
@@ -378,28 +377,6 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
 
 
 # --- task construction and the in-order streaming executor ----------------
-
-class _TaskPrefixes(Sequence):
-    """The (first, second) label prefixes of the task split, in lexicographic
-    order, made on demand: task i is ``divmod(i, p - 1)``, its second label
-    skipping the first."""
-
-    def __init__(self, p: int):
-        # complement symmetry: f and p+1-f give consecutive edge sums
-        # together, so first labels up to (p+1)//2 meet every labeling or its
-        # complement. sem_set's duality closure relies on this cap to recover
-        # the rest
-        self.p, self.first_max = p, (p + 1) // 2
-
-    def __len__(self) -> int:
-        return self.first_max * (self.p - 1)
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        first, second = divmod(i, self.p - 1)
-        return first + 1, second + 1 + (second >= first)
-
 
 @dataclass
 class _EngineResult:
@@ -427,8 +404,8 @@ class _InlinePool(Executor):
 
 def _execute(g: Graph, budget: int, threads: int, collect: bool,
              prefix: tuple[int, ...] | None = None) -> _EngineResult:
-    """Run the tasks of ``_TaskPrefixes``, or the one task that ``prefix``
-    (labels in assignment order) pins, at most a window ahead of an in-order
+    """Run one task per first label, or the one task that ``prefix`` (labels
+    in assignment order) pins, at most a window ahead of an in-order
     replay that applies sequential budget rules to the nodes searched. A
     task's cap is what the budget leaves after the tasks replayed when it is
     submitted: never below its sequential allowance, so a task that hits its
@@ -437,7 +414,11 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     at the first witness or at the budget cut, the abort value makes the
     tasks past the cut quit, the queued ones at their first node."""
     plan = _make_plan(g)
-    tasks = _TaskPrefixes(plan.p) if prefix is None else [prefix]
+    # complement symmetry: f and p+1-f give consecutive edge sums together,
+    # so first labels up to (p+1)//2 meet every labeling or its complement.
+    # sem_set's duality closure relies on this cap to recover the rest
+    tasks = ([(first,) for first in range(1, (plan.p + 1) // 2 + 1)]
+             if prefix is None else [prefix])
     out = _EngineResult()
     n = len(tasks)
     if threads > 1 and n > 1 and plan.p >= _PARALLEL_MIN_ORDER:
@@ -455,11 +436,8 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
                 left = budget - (out.nodes - out.credited)
                 if nxt < n and len(running) < window and (
                         nxt == i or not running[i].done()):
-                    # tasks under one first label share its node: the first
-                    # of them counts it
-                    shared = int(nxt > 0 and tasks[nxt - 1][0] == tasks[nxt][0])
                     running[nxt] = pool.submit(_run_task, plan, collect, nxt,
-                                               tasks[nxt], shared, left)
+                                               tasks[nxt], left)
                     nxt += 1
                     continue
                 res = running.pop(i).result()
@@ -549,9 +527,9 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
             threads: int | None = None) -> ValenceSet:
     """All valences realized by some labeling of g (full traversal).
 
-    Searches the tasks of ``_TaskPrefixes``, whose first label is at most
-    (p+1)//2, and closes the result under complement duality, which covers
-    the full bijection space exactly. An empty interval short-circuits.
+    Searches the labelings whose first label is at most (p+1)//2 and closes
+    the result under complement duality, which covers the full bijection
+    space exactly. An empty interval short-circuits.
     """
     # SearchConfig rejects a budget or thread count below 1
     threads = SearchConfig(budget=budget, threads=threads).resolved_threads()

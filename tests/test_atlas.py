@@ -3,8 +3,8 @@ most 7 vertices, up to isomorphism) against the brute-force oracle."""
 
 import networkx as nx
 
-from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, oracle_search,
-                    search_sem, sem_set)
+from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, make_two_cycle,
+                    oracle_search, search_sem, sem_set)
 from semlab.solver import DEFAULT_BUDGET, _execute, _make_plan
 
 SEQ = SearchConfig(use_obstructions=False, threads=1)
@@ -33,8 +33,8 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
     # node counts are deterministic: any change to the kernel's pruning or
     # task split shows here. 729 of these graphs have a vertex with three or
     # more neighbours assigned before it
-    assert (nodes, labelings) == (719_703, 624)
-    assert collect_nodes == 1_745_971
+    assert (nodes, labelings) == (719_698, 624)
+    assert collect_nodes == 1_745_739
 
 
 def test_seam_memo_credits_nothing_on_connected_graphs():
@@ -48,3 +48,22 @@ def test_seam_memo_credits_nothing_on_connected_graphs():
             assert _make_plan(g).seams == (), index
         credited[connected] += _execute(g, DEFAULT_BUDGET, 1, False).credited
     assert credited[True] == 0 and credited[False] > 0
+
+
+def test_split_count_is_that_of_one_sequential_search():
+    # the least labeling in assignment order has its first label at most
+    # (p+1)//2, or its complement would be less. So a search of every
+    # bijection, prefix=(), visits the split's nodes up to the split's
+    # witness and stops there: on every SEM graph both count the same
+    graphs = [g for _, g in atlas_graphs()]
+    graphs += [make_two_cycle(m, n) for m in range(3, 9) for n in range(m, 9)
+               if m + n - 1 <= 10]
+    checked = 0
+    for g in graphs:
+        split = search_sem(g, SEQ)
+        if split.status == STATUS_SEM:
+            whole = search_sem(g, SEQ, prefix=())
+            assert (whole.stats.nodes, whole.witness) == (
+                split.stats.nodes, split.witness), g
+            checked += 1
+    assert checked == 626

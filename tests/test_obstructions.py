@@ -55,12 +55,14 @@ def test_degseq_4_2_disconnected_order12_exhausts():
     out = search_sem(g, SearchConfig(use_obstructions=False, threads=2))
     assert out.status == STATUS_NOT_SEM_EXHAUSTED
     assert out.stats.nodes == 9_848_372
-    # the same serially, where the seam memo credits 4,265,730 of the nodes
-    # without searching them
-    engine = _execute(g, DEFAULT_BUDGET, 1, collect=False)
-    assert (engine.nodes, engine.witness, engine.exceeded) == (
-        9_848_372, None, False)
-    assert engine.credited == 4_265_730
+    # the same at 1, 2 and 4 threads, where the seam memo of each first
+    # label's task credits 7,576,465 of the nodes without searching them
+    for threads in (1, 2, 4):
+        engine = _execute(g, DEFAULT_BUDGET, threads, collect=False)
+        assert (engine.nodes, engine.witness, engine.exceeded) == (
+            9_848_372, None, False)
+        assert (engine.nodes - engine.credited, engine.credited) == (
+            2_271_907, 7_576_465)
 
 
 def test_degseq_4_2_on_two_cycles_iff_odd_total():

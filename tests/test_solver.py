@@ -182,33 +182,34 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
 
 def test_parallel_work_is_bounded_by_budget():
     # C(3,13) takes 397,588,338 nodes, so without lowered caps and a stop at
-    # the cut each of its 112 tasks could visit the whole budget
+    # the cut each of its 8 tasks, one per first label, could visit the whole
+    # budget: more tasks than the window holds
     budget = 20_000
     g = make_two_cycle(3, 13)
-    assert len(solver_mod._TaskPrefixes(g.order)) == 112
+    window = solver_mod._WINDOW_PER_WORKER * 2
+    assert (g.order + 1) // 2 == 8 > window + 1
     engine = solver_mod._execute(g, budget, 2, collect=False)
     assert engine.exceeded and engine.nodes == budget
-    window = solver_mod._WINDOW_PER_WORKER * 2
     assert budget <= engine.visited <= (window + 1) * budget
 
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     # one test per node serves the cap and, in a pool worker, the abort poll
-    # at every 4096th node; a task of C(3,9) with 14,741 nodes (its first
-    # label's node is shared) stops at exactly its cap on either side of a
-    # poll, with and without an abort box
+    # at every 4096th node; task 1 of C(3,9), first label 2, with 185,429
+    # nodes stops at exactly its cap on either side of a poll, with and
+    # without an abort box
     plan = solver_mod._make_plan(make_two_cycle(3, 9))
     box = mp.Value("q", 10**6)
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
         for cap in (4095, 4096, 4097, 8192):
-            res = solver_mod._run_task(plan, True, 5, (1, 3), 1, cap)
+            res = solver_mod._run_task(plan, True, 1, (2,), cap)
             assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
-        res = solver_mod._run_task(plan, True, 5, (1, 3), 1, 10**9)
-        assert (res.nodes, res.exhausted) == (14_741, True)
+        res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
+        assert (res.nodes, res.exhausted) == (185_429, True)
     # a task whose index lies past the abort value quits at its first poll
-    box.value = 4
-    res = solver_mod._run_task(plan, True, 5, (1, 3), 1, 10**9)
+    box.value = 0
+    res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
 
 
@@ -236,21 +237,24 @@ def test_seams_of_the_plan():
 
 
 def test_a_memo_hit_never_stops_a_task(monkeypatch):
-    # task 11 of C(3,4) + C4, prefix (2, 4) under a shared first label,
-    # searches 4,190 nodes and credits 3,272 more from its seam memo. Its
-    # first hit, 254 nodes in, credits 20, and its last, 4,189 nodes in,
-    # credits 32. The cap bounds the nodes searched: a credit that takes the
-    # count past the cap stops nothing, and the task stops only at a
-    # searched node past its cap, with and without an abort box
+    # task 1 of C(3,4) + C4, first label 2, searches 20,966 nodes and
+    # credits 33,928 more from its seam memo. Its first hit, 208 nodes in,
+    # credits 16, and its last, 20,960 nodes in, credits 16. The cap bounds
+    # the nodes searched: a credit that takes the count past the cap stops
+    # nothing, and the task stops only at a searched node past its cap, with
+    # and without an abort box
     plan = solver_mod._make_plan(C34_C4)
     box = mp.Value("q", 10**6)
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
         for cap, nodes, credited, exhausted in (
-                (253, 253, 0, False), (254, 274, 20, False),
-                (4_189, 7_461, 3_272, False), (4_190, 7_462, 3_272, True),
-                (10**9, 7_462, 3_272, True)):
-            res = solver_mod._run_task(plan, True, 11, (2, 4), 1, cap)
+                (207, 207, 0, False), (208, 224, 16, False),
+                (20_959, 54_871, 33_912, False),
+                (20_960, 54_888, 33_928, False),
+                (20_965, 54_893, 33_928, False),
+                (20_966, 54_894, 33_928, True),
+                (10**9, 54_894, 33_928, True)):
+            res = solver_mod._run_task(plan, True, 1, (2,), cap)
             assert (res.nodes, res.credited, res.exhausted) == (
                 nodes, credited, exhausted), (abort, cap)
 
@@ -264,20 +268,20 @@ def test_a_memo_hit_never_stops_a_task(monkeypatch):
             return 10**6 if self.polls == 1 else 0
 
     # a hit polls nothing: the task quits at the kernel's next poll, node
-    # 4,097, with the 2,868 nodes credited before it
+    # 4,097, with the 3,298 nodes credited before it
     monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
-    res = solver_mod._run_task(plan, True, 11, (2, 4), 1, 10**9)
-    assert (res.nodes, res.credited, res.exhausted) == (6_965, 2_868, False)
+    res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
+    assert (res.nodes, res.credited, res.exhausted) == (7_395, 3_298, False)
 
 
 def test_memo_credits_cost_no_budget():
-    # the budget bounds the nodes searched: C(3,4) + C4 searches 174,142 of
-    # its 300,592 nodes, and 3C3 2,504 of its 3,669, so a budget between
+    # the budget bounds the nodes searched: C(3,4) + C4 searches 112,234 of
+    # its 300,592 nodes, and 3C3 2,006 of its 3,669, so a budget between
     # the two decides it, at threads 1 and 2 alike
     c3_c3_c3 = disjoint_union(make_cycle(3), make_cycle(3), make_cycle(3))
     for g, budget, status, nodes, searched in (
-            (C34_C4, 200_000, STATUS_NOT_SEM_EXHAUSTED, 300_592, 174_142),
-            (c3_c3_c3, 3_000, STATUS_SEM, 3_669, 2_504)):
+            (C34_C4, 200_000, STATUS_NOT_SEM_EXHAUSTED, 300_592, 112_234),
+            (c3_c3_c3, 3_000, STATUS_SEM, 3_669, 2_006)):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         for threads in (1, 2):
             out = search_sem(g, SearchConfig(use_obstructions=False,
@@ -289,19 +293,19 @@ def test_memo_credits_cost_no_budget():
 
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
     # a cut reports the budget plus the nodes credited in the tasks replayed
-    # before it. Budgets in the first task; in task 11 (36,196 nodes
-    # searched and 25,160 credited come before it) at its first and last
-    # hits; just past task 11, whose 3,272 credits then count; and one short
-    # of the 174,142 nodes searched in all
+    # before it. Budgets in the first task; in task 1 (19,584 nodes searched
+    # and 30,514 credited come before it) at its first and last hits; just
+    # past task 1, whose 33,928 credits then count; and one short of the
+    # 112,234 nodes searched in all, past 142,552 credited
     g = C34_C4
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
     for budget, status, nodes in (
             (17, STATUS_UNKNOWN_BUDGET_EXCEEDED, 17),
-            (36_450, STATUS_UNKNOWN_BUDGET_EXCEEDED, 61_610),
-            (40_385, STATUS_UNKNOWN_BUDGET_EXCEEDED, 65_545),
-            (40_386, STATUS_UNKNOWN_BUDGET_EXCEEDED, 68_818),
-            (174_141, STATUS_UNKNOWN_BUDGET_EXCEEDED, 297_363),
-            (174_142, STATUS_NOT_SEM_EXHAUSTED, 300_592)):
+            (19_792, STATUS_UNKNOWN_BUDGET_EXCEEDED, 50_306),
+            (40_544, STATUS_UNKNOWN_BUDGET_EXCEEDED, 71_058),
+            (40_550, STATUS_UNKNOWN_BUDGET_EXCEEDED, 104_992),
+            (112_233, STATUS_UNKNOWN_BUDGET_EXCEEDED, 254_785),
+            (112_234, STATUS_NOT_SEM_EXHAUSTED, 300_592)):
         outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
                                            budget=budget)) for t in (1, 2, 4)]
         assert {(o.status, o.stats.nodes) for o in outs} == {(status, nodes)}
@@ -350,13 +354,12 @@ def test_disconnected_paper_family_is_pinned():
 
 def test_split_counts_each_node_once():
     # the split's count is that of one sequential search of its tree: the
-    # searches pinned at each first label up to (p+1)//2 add up to it, each
-    # first label's node counted once. The split's leaf lies below its two
-    # pins, so graphs whose edges all join the first two positions are left
-    # out: their leaf is depth 1 under one pin
+    # searches pinned at each first label up to (p+1)//2 add up to it, also
+    # on graphs whose edges all join the first two positions, where the
+    # leaf is depth 1
     graphs = [g for g in helpers.small_corpus(seed=53, n_random=30, n_cacti=8)
-              if g.size and solver_mod._make_plan(g).last > 2]
-    assert len(graphs) == 40
+              if g.size]
+    assert len(graphs) == 46
     for g in graphs + [C34_C4]:
         split = solver_mod._execute(g, 10**9, 1, True).nodes
         pinned = sum(solver_mod._execute(g, 10**9, 1, True, (a,)).nodes
@@ -364,19 +367,11 @@ def test_split_counts_each_node_once():
         assert split == pinned, g
 
 
-def test_task_prefixes_are_made_on_demand():
-    # task i's prefix comes from divmod(i, p - 1) and equals the i-th
-    # (first, second) pair in lexicographic order
-    for p in range(2, 13):
-        tasks = solver_mod._TaskPrefixes(p)
-        first_max = (p + 1) // 2
-        pairs = [(a, b) for a in range(1, first_max + 1)
-                 for b in range(1, p + 1) if b != a]
-        assert list(tasks) == pairs, p
-    # the star K(1,1500) has 1,126,500 tasks: a list of them as tuples takes
-    # ~98 MB of traced memory before the first task's witness, 1,501 nodes
-    # in, ends the search. (Peak RSS of a child process would not show it:
-    # on Linux a child starts from the high-water mark of the process that
+def test_task_split_stays_small_on_a_large_star():
+    # the star K(1,1500) splits into 751 tasks, one per first label, and the
+    # first task's witness, 1,501 nodes in, ends the search within 8 MiB of
+    # traced memory. (Peak RSS of a child process would not show it: on
+    # Linux a child starts from the high-water mark of the process that
     # forked it)
     g = Graph(1501, tuple((0, v) for v in range(1, 1501)))
     tracemalloc.start()
@@ -675,17 +670,28 @@ def test_pinned_prefix_node_counts():
 
 
 def test_pinned_depths_skip_fill():
-    # every task of the split pins depths 0 and 1. When the last edge is
-    # placed earlier, the leaf, where the ascending fill of the unused
-    # labels starts, is the first free depth, whose nodes count. An empty
-    # prefix pins no depth, so the leaf is the depth of the last edge
+    # the leaf, where the ascending fill of the unused labels starts, is the
+    # depth of the last edge, or the last pinned depth if deeper; no node
+    # past it counts. Every task of the split pins depth 0 only, so it
+    # counts what an empty prefix counts
     for g, witness, counts in (
-            (Graph(3, ((0, 2),)), (1, 3, 2), (3, 2)),
+            (Graph(3, ((0, 2),)), (1, 3, 2), (2, 2)),
             (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (34, 34))):
         for prefix, nodes in zip((None, ()), counts):
             out = search_sem(g, SearchConfig(threads=1), prefix=prefix)
             assert out.status == STATUS_SEM and out.stats.nodes == nodes
             assert out.witness.vertex_labels == witness
+    # the last edge of Graph(4, ((0, 2),)) is at depth 1: two pins end
+    # there, and a third pin, label 4 at depth 2, is the leaf, whose fill
+    # keeps it
+    g = Graph(4, ((0, 2),))
+    order = assignment_order(g)
+    for labs, nodes, witness in (((1, 2), 2, (1, 3, 2, 4)),
+                                 ((1, 2, 4), 3, (1, 4, 2, 3))):
+        out = search_sem(g, SearchConfig(threads=1),
+                         prefix=list(zip(order, labs)))
+        assert (out.status, out.stats.nodes) == (STATUS_SEM, nodes), labs
+        assert out.witness.vertex_labels == witness
 
 
 def test_deep_search_does_not_overflow_the_stack():
