@@ -48,7 +48,7 @@ import sys
 import time
 from collections.abc import Iterable
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .graphs import Graph
@@ -67,9 +67,10 @@ DEFAULT_BUDGET = 10**9
 # below this order a worker pool costs more than the whole search. Medians
 # of 5 runs, 1 thread against 2, on a 2-vCPU VM: order-7 solves of C(3,5)
 # and C(4,4) take 2.1-2.3 and 1.5-1.6 ms against 19-23 and 17-18 ms;
-# order-8 sem_set traversals take 14-16 ms against 27-39 ms, about the
-# pool's start-up cost; order-9 traversals break even (56-68 ms against
-# 51-98 ms), and order-10 ones gain (222-240 ms against 128-155 ms).
+# full order-8 sem_set traversals (timed before S = I stopped them) take
+# 14-16 ms against 27-39 ms, about the pool's start-up cost; order-9 ones
+# break even (56-68 ms against 51-98 ms), and order-10 ones gain (222-240
+# ms against 128-155 ms).
 _PARALLEL_MIN_ORDER = 9
 
 # frames left to the kernel's callers on top of its one per depth: the
@@ -211,13 +212,14 @@ def _make_plan(g: Graph) -> _Plan:
 @dataclass(frozen=True)
 class _TaskResult:
     """One subtree's search. A task that stops at its first witness (vertex
-    labels by vertex) or at its cap has not ``exhausted`` its subtree."""
+    labels by vertex), a full interval or its cap has not ``exhausted`` it."""
 
     nodes: int  # searched and credited: those a search without memo counts
     labelings: int
     exhausted: bool
     witness: tuple[int, ...] | None
-    valences: tuple[int, ...]
+    # valence -> (nodes searched, credited, labelings) where first reached
+    valences: dict[int, tuple[int, int, int]]
     credited: int  # of the nodes, those taken from the seam memo unsearched
 
 
@@ -245,10 +247,12 @@ def _pool_init(abort_value):
 
 
 def _run_task(plan: _Plan, collect: bool, idx: int,
-              prefix_labels: tuple[int, ...], cap: int) -> _TaskResult:
+              prefix_labels: tuple[int, ...], cap: int,
+              full: int | None = None) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes,
     memo credits aside. Every node visited counts, pinned ones too.
-    ``collect`` gathers every valence over a full traversal; otherwise the
+    ``collect`` gathers every valence, and stops once they and their duals
+    are ``full`` many (the interval's size; None never stops); otherwise the
     task stops at its first witness. ``idx`` is its place in prefix order.
 
     The search recurses once per depth, so the task raises the recursion
@@ -279,9 +283,18 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     leaf = max(plan.last, start) - 1
     covered = math.factorial(p - 1 - leaf)
     labelings = [0]
-    valences: set[int] = set()
+    valences: dict[int, tuple[int, int, int]] = {}
+    closed: set[int] = set()  # the valences reached and their duals
     # the search below each depth: rec, or at a seam the memo in front of it
     descend = []
+
+    def stop(nodes, witness=None) -> _Stop:
+        # a witness, or valences that fill the interval, end the replay at
+        # this task or before it: tell the tasks past it to quit
+        if abort_box is not None:
+            with abort_box.get_lock():
+                abort_box.value = min(abort_box.value, idx)
+        return _Stop(nodes, witness)
 
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
@@ -321,15 +334,17 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                         nodes = descend[d + 1](d + 1, new_min, new_max, nodes)
                     elif collect:
                         labelings[0] += covered
-                        valences.add(p + q + new_min)
+                        k = p + q + new_min
+                        if k not in valences:
+                            valences[k] = nodes, credited[0], labelings[0]
+                            closed.update((k, dual_valence(p, q, k)))
+                            if len(closed) == full:
+                                raise stop(nodes)
                     else:
-                        full = labels_at[:d + 1] + [
+                        labeling = labels_at[:d + 1] + [
                             x for x in range(1, p + 1) if not used_label[x]]
-                        if abort_box is not None:
-                            with abort_box.get_lock():
-                                abort_box.value = min(abort_box.value, idx)
                         labelings[0] = 1
-                        raise _Stop(nodes, tuple(full[pos[v]] for v in range(p)))
+                        raise stop(nodes, tuple(labeling[pos[v]] for v in range(p)))
                     used_label[lab] = 0
                     for j in earlier_d:
                         used_sum[lab + labels_at[j]] = 0
@@ -373,7 +388,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         # would free the memo: free it now
         memo.clear()
     return _TaskResult(nodes + credited[0], labelings[0], exhausted, witness,
-                       tuple(sorted(valences)), credited[0])
+                       valences, credited[0])
 
 
 # --- task construction and the in-order streaming executor ----------------
@@ -403,17 +418,23 @@ class _InlinePool(Executor):
 
 
 def _execute(g: Graph, budget: int, threads: int, collect: bool,
-             prefix: tuple[int, ...] | None = None) -> _EngineResult:
+             prefix: tuple[int, ...] | None = None,
+             interval: ValenceInterval | None = None) -> _EngineResult:
     """Run one task per first label, or the one task that ``prefix`` (labels
     in assignment order) pins, at most a window ahead of an in-order
     replay that applies sequential budget rules to the nodes searched. A
     task's cap is what the budget leaves after the tasks replayed when it is
     submitted: never below its sequential allowance, so a task that hits its
     cap proves a sequential run would run out of budget too. A cut reports
-    the budget plus the credits replayed before it. Once the replay stops,
-    at the first witness or at the budget cut, the abort value makes the
-    tasks past the cut quit, the queued ones at their first node."""
+    the budget plus the credits replayed before it, and keeps the valences
+    the cut task reached within its allowance. Given the ``interval``, a
+    collect run stops at the labeling where the valences, closed under
+    duality, fill it (None enumerates in full). Once the replay stops, the
+    abort value makes the tasks past it quit, the queued ones at their
+    first node."""
     plan = _make_plan(g)
+    full = None if interval is None else len(interval.values())
+    closed: set[int] = set()  # the valences replayed and their duals
     # complement symmetry: f and p+1-f give consecutive edge sums together,
     # so first labels up to (p+1)//2 meet every labeling or its complement.
     # sem_set's duality closure relies on this cap to recover the rest
@@ -437,13 +458,24 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
                 if nxt < n and len(running) < window and (
                         nxt == i or not running[i].done()):
                     running[nxt] = pool.submit(_run_task, plan, collect, nxt,
-                                               tasks[nxt], left)
+                                               tasks[nxt], left, full)
                     nxt += 1
                     continue
                 res = running.pop(i).result()
                 searched = res.nodes - res.credited
                 out.visited += searched
                 found = res.witness is not None and searched <= left
+                for k, (at, credited, labelings) in res.valences.items():
+                    if at > left:
+                        break
+                    out.valences.add(k)
+                    closed.update((k, dual_valence(plan.p, plan.q, k)))
+                    if len(closed) == full:
+                        # S = I: a sequential search stops at this labeling
+                        res = replace(res, nodes=at + credited,
+                                      labelings=labelings, credited=credited)
+                        found = True
+                        break
                 if not found and (not res.exhausted or searched > left):
                     # a strictly sequential run would have exhausted the
                     # budget inside this task before covering it
@@ -452,7 +484,6 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
                 out.nodes += res.nodes
                 out.labelings += res.labelings
                 out.credited += res.credited
-                out.valences.update(res.valences)
                 out.witness = res.witness
                 if found:
                     break
@@ -525,11 +556,13 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
 
 def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
             threads: int | None = None) -> ValenceSet:
-    """All valences realized by some labeling of g (full traversal).
+    """All valences realized by some labeling of g.
 
     Searches the labelings whose first label is at most (p+1)//2 and closes
     the result under complement duality, which covers the full bijection
-    space exactly. An empty interval short-circuits.
+    space exactly. It stops once the closed set is as large as the
+    interval, which holds it: then the two are equal. An empty interval
+    short-circuits.
     """
     # SearchConfig rejects a budget or thread count below 1
     threads = SearchConfig(budget=budget, threads=threads).resolved_threads()
@@ -539,7 +572,7 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     interval = sem_interval(g)
     if interval.empty:
         return ValenceSet((), True)
-    engine = _execute(g, budget, threads, True)
+    engine = _execute(g, budget, threads, True, interval=interval)
     values = set(engine.valences)
     values.update(dual_valence(p, q, k) for k in engine.valences)
     if not values <= set(interval.values()):

@@ -4,7 +4,8 @@ most 7 vertices, up to isomorphism) against the brute-force oracle."""
 import networkx as nx
 
 from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, make_two_cycle,
-                    oracle_search, search_sem, sem_set)
+                    oracle_search, search_sem, sem_interval, sem_set)
+from semlab.labeling import dual_valence
 from semlab.solver import DEFAULT_BUDGET, _execute, _make_plan
 
 SEQ = SearchConfig(use_obstructions=False, threads=1)
@@ -18,6 +19,7 @@ def atlas_graphs():
 
 def test_search_sem_set_and_obstructions_agree_with_oracle():
     checked = nodes = labelings = collect_nodes = 0
+    saturated = [0, 0]  # graphs with a non-empty interval, and their nodes
     for index, g in atlas_graphs():
         ref = oracle_search(g)
         out = search_sem(g, SEQ)
@@ -29,12 +31,49 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
         nodes += out.stats.nodes
         labelings += out.stats.labelings
         collect_nodes += _execute(g, DEFAULT_BUDGET, 1, collect=True).nodes
+        interval = sem_interval(g)
+        if not interval.empty:
+            saturated[0] += 1
+            saturated[1] += _execute(g, DEFAULT_BUDGET, 1, True,
+                                     interval=interval).nodes
     assert checked == 1_245
     # node counts are deterministic: any change to the kernel's pruning or
     # task split shows here. 729 of these graphs have a vertex with three or
     # more neighbours assigned before it
     assert (nodes, labelings) == (719_698, 624)
+    # full enumeration, and the collect runs of sem_set, which stop once
+    # the valences found and their duals fill the interval
     assert collect_nodes == 1_745_739
+    assert saturated == [1_215, 1_196_927]
+
+
+def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
+    # an interval of one or two values is one dual pair, so the first
+    # labeling fills it: the saturated collect run counts the nodes of the
+    # search for a witness, and sem_set is the closure of a full
+    # enumeration. Order 9 and above runs the pool at 2 threads
+    graphs = [g for _, g in atlas_graphs()]
+    graphs += [make_two_cycle(m, n) for m in range(3, 10) for n in range(m, 10)
+               if m + n - 1 <= 11]
+    checked = 0
+    for g in graphs:
+        interval = sem_interval(g)
+        if interval.empty or interval.hi > interval.lo + 1:
+            continue
+        out = search_sem(g, SEQ)
+        if out.status != STATUS_SEM:
+            continue
+        lo, hi = interval.lo, interval.hi
+        assert dual_valence(g.order, g.size, lo) == hi, g
+        full = _execute(g, DEFAULT_BUDGET, 2, True).valences
+        closure = {dual_valence(g.order, g.size, k) for k in full} | full
+        for threads in (1, 2):
+            engine = _execute(g, DEFAULT_BUDGET, threads, True,
+                              interval=interval)
+            assert (engine.nodes, engine.exceeded) == (out.stats.nodes, False), g
+            assert sem_set(g, threads=threads).values == tuple(sorted(closure))
+        checked += 1
+    assert checked == 164 + 6
 
 
 def test_seam_memo_credits_nothing_on_connected_graphs():

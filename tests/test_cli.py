@@ -326,6 +326,17 @@ def test_interval_valences_perfect(capsys):
     assert data["interval"] == [] and data["min"] == "23/2"
 
 
+def test_valences_budget_exit_codes(capsys):
+    # sem_set on C(4,8) fills its interval [29, 30] at node 408,622: one
+    # node short of it the set is partial (exit 2), at it complete (exit 0)
+    for budget, code, values in (("408621", 2, []), ("408622", 0, [29, 30])):
+        got, out, _ = run(capsys, "valences", "--gen", "two-cycle", "4", "8",
+                          "--budget", budget, "--threads", "2", "--json")
+        assert got == code
+        assert json.loads(out) == {"valence_set": values,
+                                   "complete": code == 0}
+
+
 def test_interval_edgeless(tmp_path, capsys):
     path = tmp_path / "edgeless.txt"
     path.write_text("2\n")

@@ -167,17 +167,33 @@ def test_budget_is_deterministic_across_threads():
 
 
 def test_collect_traversal_is_deterministic_under_budget_cut():
-    # the pool's collect path (sem_set) cut at, inside and just short of
-    # the end of the C9 traversal, which takes 63,044 nodes
-    g = make_cycle(9)
-    assert g.order >= solver_mod._PARALLEL_MIN_ORDER
-    for budget in (500, 30_000, 63_043, 63_044):
-        runs = {t: solver_mod._execute(g, budget, t, collect=True)
-                for t in (1, 2, 4)}
-        assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
-                     e.exceeded) for e in runs.values()}) == 1
-        assert runs[1].exceeded == (budget < 63_044)
-        assert runs[1].nodes == min(budget, 63_044)
+    # the pool's collect path cut at, inside and just short of the end of a
+    # full enumeration. A cut keeps the valences the cut task reached
+    # within its sequential allowance: C9's first task reaches 24 at node
+    # 2,492 of 63,044, and C(4,8)'s third, 376,672 nodes in, reaches 29 at
+    # its node 31,950 of 1,339,056. sem_set, which stops at those nodes, is
+    # complete from them on, and each partial set is part of the whole one.
+    # test_cli checks the exit codes of `valences` at C(4,8)'s edge
+    for g, edge, total, valences, budgets in (
+            (make_cycle(9), 2_492, 63_044, {24},
+             (500, 2_491, 2_492, 30_000, 63_043, 63_044)),
+            (make_two_cycle(4, 8), 408_622, 1_339_056, {29},
+             (500, 408_621, 408_622))):
+        assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+        whole = set(sem_set(g, threads=1).values)
+        for budget in budgets:
+            runs = {t: solver_mod._execute(g, budget, t, collect=True)
+                    for t in (1, 2, 4)}
+            assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
+                         e.exceeded) for e in runs.values()}) == 1
+            assert runs[1].exceeded == (budget < total)
+            assert runs[1].nodes == min(budget, total)
+            assert runs[1].valences == (valences if budget >= edge else set())
+            sets = {sem_set(g, budget=budget, threads=t) for t in (1, 2, 4)}
+            assert len(sets) == 1
+            vs = sets.pop()
+            assert vs.complete == (budget >= edge) == (set(vs.values) == whole)
+            assert set(vs.values) <= whole
 
 
 def test_parallel_work_is_bounded_by_budget():
