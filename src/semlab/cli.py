@@ -26,7 +26,8 @@ from .graphs import (
     parse_graph,
     parse_graph6,
 )
-from .labeling import LabelingError, SemLabeling, sem_interval, verify_sem
+from .labeling import (LabelingError, SemLabeling, dual_valence, sem_interval,
+                       verify_sem)
 from .obstructions import check_all
 from .solver import (
     DEFAULT_BUDGET,
@@ -304,8 +305,15 @@ def cmd_sweep(args) -> int:
         if out.status in (STATUS_NOT_SEM_EXHAUSTED, STATUS_NOT_SEM_OBSTRUCTION):
             sigma = ""  # proven empty
         elif out.status == STATUS_SEM and g.order <= _SIGMA_MAX_ORDER:
-            vs = sem_set(g, cfg.budget, cfg.threads)
-            sigma = "|".join(str(v) for v in vs.values) if vs.complete else "skipped"
+            # where the witness's valence and its dual fill the interval they
+            # are the valence set, which sem_set would only find again
+            k = out.witness.valence
+            values = sorted({k, dual_valence(g.order, g.size, k)})
+            complete = values == iv.values()
+            if not complete:
+                vs = sem_set(g, cfg.budget, cfg.threads)
+                values, complete = vs.values, vs.complete
+            sigma = "|".join(str(v) for v in values) if complete else "skipped"
         else:
             sigma = "skipped"
         row = [args.family, params, str(g.order), str(g.size),

@@ -1,29 +1,39 @@
 """Exhaustive decision procedure for super edge-magicness.
 
-The search assigns labels 1..p to vertices in a fixed static order
-(descending degree, ties by index). After each assignment every fully
-labeled edge contributes an endpoint sum; a branch dies as soon as a sum
-repeats or the sums stop fitting in a window of q consecutive integers.
-A label's new sums are tested against the placed sums and the window
-before any is marked, so a branch that dies leaves nothing to undo. A
-graph with more than 2p-3 edges has no labeling at all (Enomoto, Lladó,
-Nakamigawa & Ringel 1998), so there the window has width -1 and every edge
-placed kills its branch. Any bijection that survives is extendable (q
-distinct sums inside a width-(q-1) window must be consecutive). Past the
-last vertex with an edge every fill of the unused labels survives, so
-reaching the leaf depth, the last one with an edge (or the last pinned one,
-if deeper), is a witness: its ascending fill is the least of the labelings
-that node stands for.
+The search assigns labels 1..p to vertices in a fixed static order, one
+component after another (descending degree, ties by index, within each).
+After each assignment every fully labeled edge contributes an endpoint sum;
+a branch dies as soon as a sum repeats or the sums stop fitting in a window
+of q consecutive integers. A label's new sums are tested against the placed
+sums and the window before any is marked, so a branch that dies leaves
+nothing to undo. A graph with more than 2p-3 edges has no labeling at all
+(Enomoto, Lladó, Nakamigawa & Ringel 1998), so there the window has width
+-1 and every edge placed kills its branch. Any bijection that survives is
+extendable (q distinct sums inside a width-(q-1) window must be
+consecutive). Past the last vertex with an edge every fill of the unused
+labels survives, so reaching the leaf depth, the last one with an edge (or
+the last pinned one, if deeper), is a witness: its ascending fill is the
+least of the labelings that node stands for.
 
-A seam is the depth just past the last position of a component (any but
-the one that ends last). Below any depth the search reads only the labels
-and edge sums in use and the labels of the live positions, the earlier ones
-with a neighbor further down; at a seam the finished component adds no
-live position, so many labelings of it meet in one such key. Equal keys
-mean equal subtrees, so each task keeps a bounded memo of the subtrees it
-searched whole below its seams and credits their nodes and labelings on a
-repeat instead of searching them again. Node counts stay exact, and a
-connected graph has no seam.
+Twins, two vertices with an edge and the same open neighbourhood or the
+same closed one, can swap labels without changing an edge sum. The search
+breaks that symmetry with the lex-leader rule of Crawford, Ginsberg, Luks
+& Roy (KR 1996): a vertex takes only labels above its previous twin's in
+assignment order. Each orbit of twin swaps has one such leader, its least
+labeling. The least witness is one, and a leader or its complement's has
+a first label within the split's cap below, so statuses, witnesses and
+valence sets stay those of the full space; a collect run's labelings
+count leaders. A user prefix may pin twins out of order, so under one the
+rule is off.
+
+A seam is the depth just past the block of a component (any but the last
+block with an edge). No position before it has a neighbor or a twin past
+it, so the subtree below it reads only the labels and edge sums in use,
+and many labelings of the finished components meet in one such key. Equal
+keys mean equal subtrees, so each task keeps a bounded memo of the
+subtrees it searched whole below its seams and credits their nodes and
+labelings on a repeat instead of searching them again. Node counts stay
+exact, and a connected graph has no seam.
 
 Work splits deterministically on the first label: the subtree under each
 is a task, whose seam memo spans all of it. One executor streams the tasks
@@ -49,7 +59,6 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 from .graphs import Graph
 from .labeling import (SemLabeling, ValenceInterval, dual_valence,
@@ -145,10 +154,33 @@ class SearchOutcome:
         }
 
 
+def _components(g: Graph) -> list[list[int]]:
+    """The components of g, each in (-degree, index) order, in the order
+    their first vertices take in that order over the whole graph."""
+    deg, adj = g.degrees(), g.adjacency()
+    key = lambda v: (-deg[v], v)
+    blocks, seen = [], set()
+    for v in sorted(range(g.order), key=key):
+        if v not in seen:
+            seen.add(v)
+            block = [v]
+            for u in block:  # grows as it goes: a breadth-first search
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        block.append(w)
+            blocks.append(sorted(block, key=key))
+    return blocks
+
+
 def assignment_order(g: Graph) -> list[int]:
-    """Static search order: vertices by descending degree, ties by index."""
-    deg = g.degrees()
-    return sorted(range(g.order), key=lambda v: (-deg[v], v))
+    """Static search order, one component after another: within each,
+    vertices by descending degree, ties by index; components in the order
+    their first vertices take in that order over the whole graph. A
+    connected graph is in (-degree, index) order, and position 0 is always
+    a vertex of maximum degree. Twins (module docstring) share a component,
+    so the twin rule never reads across the end of a block."""
+    return [v for block in _components(g) for v in block]
 
 
 # --- search plan: static per-graph data shared by all tasks ---------------
@@ -163,50 +195,38 @@ class _Plan:
     earlier: tuple[tuple[int, ...], ...]
     # one past the last position with an edge: every later vertex is isolated
     last: int
-    # (depth, live positions) at each seam below last - 1, by depth: a seam
-    # is the depth just past a component's last position, and its live
-    # positions are the earlier ones with a neighbor at the seam or later
-    seams: tuple[tuple[int, tuple[int, ...]], ...]
+    # the seams: the depths just past each block of a component but the last
+    # one with an edge
+    seams: tuple[int, ...]
+    # each position's previous twin, or p where it has none
+    twin: tuple[int, ...]
 
 
 def _make_plan(g: Graph) -> _Plan:
     p = g.order
-    order = assignment_order(g)
+    blocks = _components(g)
+    order = [v for block in blocks for v in block]
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[] for _ in range(p)]
-    reach = list(range(p))  # each position's last neighbor position, or itself
     for u, v in g.edges:
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
+        a, b = sorted((pos[u], pos[v]))
         earlier[b].append(a)
-        if b > reach[a]:
-            reach[a] = b
     last = max((d + 1 for d in range(p) if earlier[d]), default=0)
-    # union-find over the positions up to x, joined along their edges: the
-    # component of x ends at x when none of its members reaches past x (an
-    # edge out of it would lead further down). Each position joins the live
-    # list once and leaves it once
-    root, top = list(range(p)), reach[:]  # top: a root's members' last reach
-    seams, live = [], []
-    for x in range(last - 2):
-        r = x
-        for s in earlier[x]:
-            while root[s] != s:  # path halving
-                root[s] = root[root[s]]
-                s = root[s]
-            if s != r:
-                root[r] = s
-                top[s] = max(top[s], top[r])
-                r = s
-        live.append(x)
-        if top[r] == x:
-            live = [j for j in live if reach[j] > x]
-            seams.append((x + 1, tuple(live)))
+    # the vertices with an edge take the positions before last. Twins have
+    # the same open neighbourhood (so a common neighbor) or the same closed
+    # one (so an edge): the previous twin lies in the same block
+    adj = g.adjacency()
+    twin, seen = [p] * p, {}
+    for x, v in enumerate(order[:last]):
+        for key in (("open", adj[v]), ("closed", tuple(sorted(adj[v] + (v,))))):
+            twin[x] = seen.get(key, twin[x])
+            seen[key] = x
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
-        earlier=tuple(tuple(sorted(e)) for e in earlier),
-        last=last, seams=tuple(seams))
+        earlier=tuple(tuple(sorted(e)) for e in earlier), last=last,
+        seams=tuple(d for d in itertools.accumulate(map(len, blocks))
+                    if d < last),
+        twin=tuple(twin))
 
 
 @dataclass(frozen=True)
@@ -234,10 +254,11 @@ class _Stop(Exception):
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
 
 # entries a task's seam memo holds at most; past it the memo only answers.
-# An entry takes ~190 bytes at order 12 and ~340 at order 20 (tracemalloc),
-# so a full memo takes 6-11 MB per task. C6 + C(3,4) peaks at 7,529 entries;
-# over the (4, 2, ..., 2) graphs, order 12 peaks at 7,667 (C(4,5) + C4) and
-# order 13 at 30,338 (C(4,5) + C5), so from order 14 a task may fill it
+# An entry takes ~240 bytes at order 12 and ~260 at order 20 (tracemalloc,
+# 30,000 entries), so a full memo takes ~8 MB per task. C6 + C(3,4) peaks at
+# 3,361 entries; over the (4, 2, ..., 2) graphs, order 12 peaks at 7,667
+# (C(4,5) + C4) and order 13 at 30,338 (C(4,5) + C5), so from order 14 a
+# task may fill it
 _MEMO_MAX_ENTRIES = 1 << 15
 
 
@@ -258,7 +279,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     The search recurses once per depth, so the task raises the recursion
     limit, which is process-wide, to fit p frames above its callers'. It
     never lowers it."""
-    p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
+    p, q, earlier, pos, twin = plan.p, plan.q, plan.earlier, plan.pos, plan.twin
     sys.setrecursionlimit(max(sys.getrecursionlimit(), p + _CALLER_FRAMES))
     # the edge sums must fit a window of width q-1. A graph with more than
     # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
@@ -267,7 +288,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
 
     used_label = bytearray(p + 2)
     used_sum = bytearray(2 * p + 2)
-    labels_at = [0] * p
+    labels_at = [0] * (p + 1)  # labels_at[p], "no twin", stays 0
 
     abort_box = _WORKER_ABORT
     # one test per node serves the cap and, in a pool worker, the abort poll
@@ -299,9 +320,12 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
             labels_at=labels_at, q1=q1, leaf=leaf, poll=poll,
-            descend=descend) -> int:
+            descend=descend, twin=twin, islice=itertools.islice) -> int:
         earlier_d = earlier[d]
-        for lab in choices[d]:
+        # the twin rule: only labels above the previous twin's, uncounted
+        # below it (islice, as the shared tuple must not be copied per call)
+        above = labels_at[twin[d]]
+        for lab in islice(choices[d], above, None) if above else choices[d]:
             if used_label[lab]:
                 continue
             nodes += 1
@@ -355,14 +379,12 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # counts a subtree's nodes, searched and credited; a hit searches none,
     # so it meets no cap, and its valences are in the set already. Keys at
     # different seams differ in the number of labels in use
-    live_labels = {d: itemgetter(*live) if live else (lambda labels: None)
-                   for d, live in plan.seams}
-    memo: dict[tuple, tuple[int, int]] = {}
+    memo: dict[bytes, tuple[int, int]] = {}
     credited = [0]
 
     def seam(d, cmin, cmax, nodes) -> int:
         # fixed lengths p+2 and 2p+2: the concatenation is exact
-        key = bytes(used_label + used_sum), live_labels[d](labels_at)
+        key = bytes(used_label + used_sum)
         hit = memo.get(key)
         if hit is None:
             before = nodes + credited[0], labelings[0]
@@ -376,7 +398,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
         return nodes
 
     descend += [rec] * (leaf + 1)
-    for d in live_labels:
+    for d in plan.seams:
         if start <= d < leaf:
             descend[d] = seam
     try:
@@ -433,6 +455,10 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     abort value makes the tasks past it quit, the queued ones at their
     first node."""
     plan = _make_plan(g)
+    if prefix is not None:
+        # a prefix may pin twins out of order, and () promises every
+        # bijection: the twin rule is off
+        plan = replace(plan, twin=(plan.p,) * plan.p)
     full = None if interval is None else len(interval.values())
     closed: set[int] = set()  # the valences replayed and their duals
     # complement symmetry: f and p+1-f give consecutive edge sums together,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from semlab import CactusSpec, Graph, make_cactus, make_cycle, make_two_cycle
+from semlab import (CactusSpec, Graph, disjoint_union, make_cactus,
+                    make_cycle, make_two_cycle)
 
 
 def random_graph(rng: random.Random, p_min: int = 2, p_max: int = 8) -> Graph:
@@ -51,3 +52,29 @@ def small_corpus(seed: int = 20240607, n_random: int = 60,
 
 def all_bijections(p: int):
     return itertools.permutations(range(1, p + 1))
+
+
+def twin_rich_graph(rng: random.Random, p_min: int = 7,
+                    p_max: int = 10) -> Graph:
+    """A sparse random graph, grown to order p by clones: each new vertex
+    copies the neighbours of an earlier one, so the two are open twins, or
+    copies them and joins it, so they are closed twins. From order 8 some
+    are the disjoint union of such a graph and a cycle, so they have seams."""
+    p = rng.randint(p_min, p_max)
+    cycle = rng.choice([c for c in (0, 0, 3, 4) if c <= p - 5])
+    k = rng.randint(3, p - cycle - 2)  # vertices before the clones
+    pool = list(itertools.combinations(range(k), 2))
+    base = rng.sample(pool, min(len(pool), rng.randint(k - 1, k + 1)))
+    nbrs = [set() for _ in range(p - cycle)]
+    for u, v in base:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for v in range(k, p - cycle):
+        src = rng.randrange(v)
+        joined = nbrs[src] | ({src} if rng.random() < 0.5 else set())
+        for w in joined:
+            nbrs[w].add(v)
+        nbrs[v] = joined
+    g = Graph(p - cycle, tuple((u, v) for u in range(p - cycle)
+                               for v in sorted(nbrs[u]) if u < v))
+    return disjoint_union(g, make_cycle(cycle)) if cycle else g

@@ -6,7 +6,7 @@ import networkx as nx
 from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, make_two_cycle,
                     oracle_search, search_sem, sem_interval, sem_set)
 from semlab.labeling import dual_valence
-from semlab.solver import DEFAULT_BUDGET, _execute, _make_plan
+from semlab.solver import DEFAULT_BUDGET, _execute, _make_plan, _run_task
 
 SEQ = SearchConfig(use_obstructions=False, threads=1)
 
@@ -40,11 +40,12 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
     # node counts are deterministic: any change to the kernel's pruning or
     # task split shows here. 729 of these graphs have a vertex with three or
     # more neighbours assigned before it
-    assert (nodes, labelings) == (719_698, 624)
-    # full enumeration, and the collect runs of sem_set, which stop once
-    # the valences found and their duals fill the interval
-    assert collect_nodes == 1_745_739
-    assert saturated == [1_215, 1_196_927]
+    assert (nodes, labelings) == (478_480, 624)
+    # full enumeration of the twin-swap leaders, and the collect runs of
+    # sem_set, which stop once the valences found and their duals fill the
+    # interval
+    assert collect_nodes == 1_219_770
+    assert saturated == [1_215, 790_441]
 
 
 def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
@@ -91,9 +92,11 @@ def test_seam_memo_credits_nothing_on_connected_graphs():
 
 def test_split_count_is_that_of_one_sequential_search():
     # the least labeling in assignment order has its first label at most
-    # (p+1)//2, or its complement would be less. So a search of every
-    # bijection, prefix=(), visits the split's nodes up to the split's
-    # witness and stops there: on every SEM graph both count the same
+    # (p+1)//2, or its complement would be less, and it is a twin-swap
+    # leader, or a swap would make it less. So one task over every first
+    # label, with the twin rule on, visits the split's nodes up to the
+    # split's witness and stops there: on every SEM graph both count the
+    # same. Every bijection, prefix=() with the rule off, has that witness
     graphs = [g for _, g in atlas_graphs()]
     graphs += [make_two_cycle(m, n) for m in range(3, 9) for n in range(m, 9)
                if m + n - 1 <= 10]
@@ -101,8 +104,9 @@ def test_split_count_is_that_of_one_sequential_search():
     for g in graphs:
         split = search_sem(g, SEQ)
         if split.status == STATUS_SEM:
-            whole = search_sem(g, SEQ, prefix=())
-            assert (whole.stats.nodes, whole.witness) == (
-                split.stats.nodes, split.witness), g
+            whole = _run_task(_make_plan(g), False, 0, (), DEFAULT_BUDGET)
+            assert (whole.nodes, whole.witness) == (
+                split.stats.nodes, split.witness.vertex_labels), g
+            assert search_sem(g, SEQ, prefix=()).witness == split.witness, g
             checked += 1
     assert checked == 626

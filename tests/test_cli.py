@@ -10,7 +10,7 @@ import pytest
 
 import semlab.cli as cli_mod
 import semlab.solver as solver_mod
-from semlab import VerifyResult, make_cycle, serialize_graph
+from semlab import Graph, VerifyResult, make_cycle, serialize_graph
 from semlab.cli import main
 
 
@@ -327,9 +327,9 @@ def test_interval_valences_perfect(capsys):
 
 
 def test_valences_budget_exit_codes(capsys):
-    # sem_set on C(4,8) fills its interval [29, 30] at node 408,622: one
+    # sem_set on C(4,8) fills its interval [29, 30] at node 217,723: one
     # node short of it the set is partial (exit 2), at it complete (exit 0)
-    for budget, code, values in (("408621", 2, []), ("408622", 0, [29, 30])):
+    for budget, code, values in (("217722", 2, []), ("217723", 0, [29, 30])):
         got, out, _ = run(capsys, "valences", "--gen", "two-cycle", "4", "8",
                           "--budget", budget, "--threads", "2", "--json")
         assert got == code
@@ -371,6 +371,31 @@ def test_sweep_deterministic_across_runs_and_threads(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_takes_sigma_from_a_filling_witness(capsys, monkeypatch):
+    # each SEM row of the grid has the interval [19, 20], one dual pair,
+    # which its witness's valence and that one's dual fill: no sem_set runs
+    calls = []
+
+    def counting_sem_set(g, *args):
+        calls.append(g)
+        return solver_mod.sem_set(g, *args)
+
+    monkeypatch.setattr(cli_mod, "sem_set", counting_sem_set)
+    code, out, _ = run(capsys, "sweep", "two-cycle-grid", "--m", "3..5",
+                       "--n", "3..5", "--threads", "1")
+    assert code == 0 and not calls
+    rows = {line.split(",")[1]: line.split(",") for line in out.splitlines()[1:]}
+    assert [rows[f"m={m};n={n}"][8] for m, n in ((3, 5), (4, 4), (5, 3))] == [
+        "19|20"] * 3
+    # the star K(1,3) has the interval [10, 12], which no dual pair fills:
+    # sem_set gives its valence set, which misses 11
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    monkeypatch.setattr(cli_mod, "_sweep_graphs", lambda args: [("star", star)])
+    code, out, _ = run(capsys, "sweep", "two-cycle-grid", "--threads", "1")
+    assert code == 0 and calls == [star]
+    assert out.splitlines()[1].split(",")[5:9] == ["SEM", "10", "12", "10|12"]
 
 
 def test_sweep_degseq_family(capsys):

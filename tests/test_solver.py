@@ -10,6 +10,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from semlab import (
@@ -139,7 +140,7 @@ def test_search_statuses():
 
 def test_budget_is_deterministic_across_threads():
     # every graph here has order >= _PARALLEL_MIN_ORDER, so threads > 1 run
-    # the pool; C(3,7) is not SEM and takes 55,519 nodes
+    # the pool; C(3,7) is not SEM and takes 27,782 nodes
     assert make_two_cycle(3, 7).order >= solver_mod._PARALLEL_MIN_ORDER
     for budget in (17, 400, 9999):
         outs = [
@@ -150,10 +151,10 @@ def test_budget_is_deterministic_across_threads():
         ]
         assert {o.status for o in outs} == {STATUS_UNKNOWN_BUDGET_EXCEEDED}
         assert {o.stats.nodes for o in outs} == {budget}
-    # C(3,9) reaches its witness at node 399,594: one node short of it, and
+    # C(3,9) reaches its witness at node 214,741: one node short of it, and
     # exactly at it, where a task's cap meets its sequential allowance
-    for budget, status in ((399_593, STATUS_UNKNOWN_BUDGET_EXCEEDED),
-                           (399_594, STATUS_SEM)):
+    for budget, status in ((214_740, STATUS_UNKNOWN_BUDGET_EXCEEDED),
+                           (214_741, STATUS_SEM)):
         outs = [search_sem(make_two_cycle(3, 9),
                            SearchConfig(threads=t, budget=budget))
                 for t in (1, 2, 4)]
@@ -170,15 +171,15 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
     # the pool's collect path cut at, inside and just short of the end of a
     # full enumeration. A cut keeps the valences the cut task reached
     # within its sequential allowance: C9's first task reaches 24 at node
-    # 2,492 of 63,044, and C(4,8)'s third, 376,672 nodes in, reaches 29 at
-    # its node 31,950 of 1,339,056. sem_set, which stops at those nodes, is
+    # 2,492 of 63,044, and C(4,8)'s third, 188,437 nodes in, reaches 29 at
+    # its node 29,286 of 669,831. sem_set, which stops at those nodes, is
     # complete from them on, and each partial set is part of the whole one.
     # test_cli checks the exit codes of `valences` at C(4,8)'s edge
     for g, edge, total, valences, budgets in (
             (make_cycle(9), 2_492, 63_044, {24},
              (500, 2_491, 2_492, 30_000, 63_043, 63_044)),
-            (make_two_cycle(4, 8), 408_622, 1_339_056, {29},
-             (500, 408_621, 408_622))):
+            (make_two_cycle(4, 8), 217_723, 669_831, {29},
+             (500, 217_722, 217_723))):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         whole = set(sem_set(g, threads=1).values)
         for budget in budgets:
@@ -211,7 +212,7 @@ def test_parallel_work_is_bounded_by_budget():
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     # one test per node serves the cap and, in a pool worker, the abort poll
-    # at every 4096th node; task 1 of C(3,9), first label 2, with 185,429
+    # at every 4096th node; task 1 of C(3,9), first label 2, with 92,720
     # nodes stops at exactly its cap on either side of a poll, with and
     # without an abort box
     plan = solver_mod._make_plan(make_two_cycle(3, 9))
@@ -222,40 +223,96 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
             res = solver_mod._run_task(plan, True, 1, (2,), cap)
             assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
         res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
-        assert (res.nodes, res.exhausted) == (185_429, True)
+        assert (res.nodes, res.exhausted) == (92_720, True)
     # a task whose index lies past the abort value quits at its first poll
     box.value = 0
     res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
 
 
-# C(3,4) + C4, order 10: NOT_SEM after 300,592 nodes. Its two-cycle takes
+# C(3,4) + C4, order 10: NOT_SEM after 70,675 nodes. Its two-cycle takes
 # the first six positions, so the search has one seam, at depth 6, where
 # nothing assigned before it has a neighbor after it
 C34_C4 = disjoint_union(make_two_cycle(3, 4), make_cycle(4))
 C33_C3_C3 = disjoint_union(make_two_cycle(3, 3), make_cycle(3), make_cycle(3))
 C45_C3 = disjoint_union(make_two_cycle(4, 5), make_cycle(3))
+# K(2,3) on {0, 1} and {2, 3, 7}, a triangle and an edge: with ties by
+# index alone the triangle's positions would fall between the open twins
+# 3 and 7
+K23_C3_K2 = Graph(10, ((0, 2), (0, 3), (0, 7), (1, 2), (1, 3), (1, 7),
+                       (4, 5), (5, 6), (4, 6), (8, 9)))
 
 
 def test_seams_of_the_plan():
-    for g, seams in (
-            (make_two_cycle(3, 9), ()),
-            (C34_C4, ((6, ()),)),
-            # the hub of C(3,4) comes first and is live at the seam after C6
+    # components take contiguous blocks, and a seam is the depth past each
+    # block but the last one with an edge
+    for g, order, seams in (
+            (make_two_cycle(3, 9), list(range(11)), ()),
+            (C34_C4, list(range(10)), (6,)),
+            # C(3,4) holds the vertex of largest degree, so it comes first,
+            # and C6 follows it whole
             (disjoint_union(make_cycle(6), make_two_cycle(3, 4)),
-             ((7, (0,)),)),
-            (C33_C3_C3, ((5, ()), (8, ()))),
-            (Graph(6, ((0, 1), (2, 3), (4, 5))), ((2, ()), (4, ()))),
-            # the seam after {0, 2}, depth 3, is the leaf of an unpinned
-            # search: no memo there
-            (Graph(4, ((0, 2), (1, 3))), ())):
+             [6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5], (6,)),
+            (C33_C3_C3, list(range(11)), (5, 8)),
+            (Graph(6, ((0, 1), (2, 3), (4, 5))), list(range(6)), (2, 4)),
+            (Graph(4, ((0, 2), (1, 3))), [0, 2, 1, 3], (2,)),
+            (K23_C3_K2, [0, 1, 2, 3, 7, 4, 5, 6, 8, 9], (5, 8)),
+            # isolated vertices come last and add no seam
+            (Graph(5, ((1, 2), (3, 4))), [1, 2, 3, 4, 0], (2,))):
+        assert assignment_order(g) == order, g
         assert solver_mod._make_plan(g).seams == seams, g
 
 
+def _twin_classes(g):
+    # vertices with an edge, grouped by open and by closed neighbourhood
+    adj = g.adjacency()
+    classes = {}
+    for v in range(g.order):
+        if adj[v]:
+            classes.setdefault(("open", adj[v]), []).append(v)
+            classes.setdefault(("closed", tuple(sorted(adj[v] + (v,)))),
+                               []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
+def test_twins_and_seams_stay_inside_component_blocks():
+    # every component takes one contiguous block of positions, no edge
+    # crosses a seam (the live set there is empty), and each twin class is
+    # a chain of previous twins inside one block, in assignment order
+    rng = random.Random(83)
+    graphs = [K23_C3_K2, C34_C4, C33_C3_C3, C45_C3,
+              disjoint_union(make_cycle(6), make_two_cycle(3, 4)),
+              Graph(5, ((1, 2), (3, 4)))]
+    graphs += [helpers.twin_rich_graph(rng) for _ in range(60)]
+    for g in graphs:
+        plan = solver_mod._make_plan(g)
+        pos = plan.pos
+        h = nx.empty_graph(g.order)
+        h.add_edges_from(g.edges)
+        block_of = {}
+        for i, comp in enumerate(nx.connected_components(h)):
+            at = sorted(pos[v] for v in comp)
+            assert at == list(range(at[0], at[0] + len(at))), g
+            block_of.update((x, i) for x in at)
+        for d in plan.seams:
+            assert not any(min(pos[u], pos[v]) < d <= max(pos[u], pos[v])
+                           for u, v in g.edges), (g, d)
+        chains = {}  # keyed by their last position so far
+        for x, t in enumerate(plan.twin):
+            if t < g.order:
+                assert t < x and block_of[t] == block_of[x], g
+                chains[x] = chains.pop(t) + [x]
+            else:
+                chains[x] = [x]
+        assert {tuple(c) for c in chains.values() if len(c) > 1} == {
+            tuple(sorted(pos[v] for v in c)) for c in _twin_classes(g)}, g
+    assert sum(len(_twin_classes(g)) for g in graphs) > 100
+
+
 def test_a_memo_hit_never_stops_a_task(monkeypatch):
-    # task 1 of C(3,4) + C4, first label 2, searches 20,966 nodes and
-    # credits 33,928 more from its seam memo. Its first hit, 208 nodes in,
-    # credits 16, and its last, 20,960 nodes in, credits 16. The cap bounds
+    # task 1 of C(3,4) + C4, first label 2, searches 12,598 nodes and
+    # credits 422 more from its seam memo. Its first hit, 1,553 nodes in,
+    # credits 22, and its last, 7,946 nodes in, credits 16. The cap bounds
     # the nodes searched: a credit that takes the count past the cap stops
     # nothing, and the task stops only at a searched node past its cap, with
     # and without an abort box
@@ -264,12 +321,12 @@ def test_a_memo_hit_never_stops_a_task(monkeypatch):
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
         for cap, nodes, credited, exhausted in (
-                (207, 207, 0, False), (208, 224, 16, False),
-                (20_959, 54_871, 33_912, False),
-                (20_960, 54_888, 33_928, False),
-                (20_965, 54_893, 33_928, False),
-                (20_966, 54_894, 33_928, True),
-                (10**9, 54_894, 33_928, True)):
+                (1_552, 1_552, 0, False), (1_553, 1_575, 22, False),
+                (7_945, 8_351, 406, False),
+                (7_946, 8_368, 422, False),
+                (12_597, 13_019, 422, False),
+                (12_598, 13_020, 422, True),
+                (10**9, 13_020, 422, True)):
             res = solver_mod._run_task(plan, True, 1, (2,), cap)
             assert (res.nodes, res.credited, res.exhausted) == (
                 nodes, credited, exhausted), (abort, cap)
@@ -284,20 +341,21 @@ def test_a_memo_hit_never_stops_a_task(monkeypatch):
             return 10**6 if self.polls == 1 else 0
 
     # a hit polls nothing: the task quits at the kernel's next poll, node
-    # 4,097, with the 3,298 nodes credited before it
+    # 4,097, with the 152 nodes credited before it
     monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
     res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
-    assert (res.nodes, res.credited, res.exhausted) == (7_395, 3_298, False)
+    assert (res.nodes, res.credited, res.exhausted) == (4_249, 152, False)
 
 
 def test_memo_credits_cost_no_budget():
-    # the budget bounds the nodes searched: C(3,4) + C4 searches 112,234 of
-    # its 300,592 nodes, and 3C3 2,006 of its 3,669, so a budget between
-    # the two decides it, at threads 1 and 2 alike
-    c3_c3_c3 = disjoint_union(make_cycle(3), make_cycle(3), make_cycle(3))
+    # the budget bounds the nodes searched: C(3,4) + C4 searches 68,350 of
+    # its 70,675 nodes, and C(3,3) + C3 + C3 25,213 of its 43,095, so a
+    # budget between the two decides it, at threads 1 and 2 alike. (3C3
+    # credits nothing: each triangle's labels rise, so no two labelings of
+    # the first meet in a key)
     for g, budget, status, nodes, searched in (
-            (C34_C4, 200_000, STATUS_NOT_SEM_EXHAUSTED, 300_592, 112_234),
-            (c3_c3_c3, 3_000, STATUS_SEM, 3_669, 2_006)):
+            (C34_C4, 70_000, STATUS_NOT_SEM_EXHAUSTED, 70_675, 68_350),
+            (C33_C3_C3, 30_000, STATUS_SEM, 43_095, 25_213)):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         for threads in (1, 2):
             out = search_sem(g, SearchConfig(use_obstructions=False,
@@ -309,19 +367,19 @@ def test_memo_credits_cost_no_budget():
 
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
     # a cut reports the budget plus the nodes credited in the tasks replayed
-    # before it. Budgets in the first task; in task 1 (19,584 nodes searched
-    # and 30,514 credited come before it) at its first and last hits; just
-    # past task 1, whose 33,928 credits then count; and one short of the
-    # 112,234 nodes searched in all, past 142,552 credited
+    # before it. Budgets in the first task; in task 1 (11,938 nodes searched
+    # and 231 credited come before it) at its first and last hits; just
+    # past task 1, whose 422 credits then count; and one short of the
+    # 68,350 nodes searched in all, past 1,798 credited
     g = C34_C4
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
     for budget, status, nodes in (
             (17, STATUS_UNKNOWN_BUDGET_EXCEEDED, 17),
-            (19_792, STATUS_UNKNOWN_BUDGET_EXCEEDED, 50_306),
-            (40_544, STATUS_UNKNOWN_BUDGET_EXCEEDED, 71_058),
-            (40_550, STATUS_UNKNOWN_BUDGET_EXCEEDED, 104_992),
-            (112_233, STATUS_UNKNOWN_BUDGET_EXCEEDED, 254_785),
-            (112_234, STATUS_NOT_SEM_EXHAUSTED, 300_592)):
+            (13_491, STATUS_UNKNOWN_BUDGET_EXCEEDED, 13_722),
+            (19_884, STATUS_UNKNOWN_BUDGET_EXCEEDED, 20_115),
+            (24_536, STATUS_UNKNOWN_BUDGET_EXCEEDED, 25_189),
+            (68_349, STATUS_UNKNOWN_BUDGET_EXCEEDED, 70_147),
+            (68_350, STATUS_NOT_SEM_EXHAUSTED, 70_675)):
         outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
                                            budget=budget)) for t in (1, 2, 4)]
         assert {(o.status, o.stats.nodes) for o in outs} == {(status, nodes)}
@@ -351,11 +409,11 @@ def test_disconnected_paper_family_is_pinned():
     # and 2. C(3,3) + C3 + C3 has two seams
     for g, status, nodes, witness, valences in (
             (disjoint_union(make_two_cycle(3, 3), make_cycle(4)),
-             STATUS_NOT_SEM_EXHAUSTED, 80_343, None, ()),
-            (C34_C4, STATUS_NOT_SEM_EXHAUSTED, 300_592, None, ()),
-            (C33_C3_C3, STATUS_SEM, 457_118,
+             STATUS_NOT_SEM_EXHAUSTED, 17_819, None, ()),
+            (C34_C4, STATUS_NOT_SEM_EXHAUSTED, 70_675, None, ()),
+            (C33_C3_C3, STATUS_SEM, 43_095,
              (3, 4, 11, 6, 10, 1, 5, 7, 2, 8, 9), (29, 30)),
-            (C45_C3, STATUS_SEM, 386_133,
+            (C45_C3, STATUS_SEM, 177_208,
              (3, 4, 2, 7, 5, 11, 1, 10, 6, 8, 9), (29, 30))):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         assert solver_mod._make_plan(g).seams
@@ -370,15 +428,16 @@ def test_disconnected_paper_family_is_pinned():
 
 def test_split_counts_each_node_once():
     # the split's count is that of one sequential search of its tree: the
-    # searches pinned at each first label up to (p+1)//2 add up to it, also
-    # on graphs whose edges all join the first two positions, where the
-    # leaf is depth 1
+    # searches pinned at each first label up to (p+1)//2, each one task of
+    # the plan the split searches, add up to it, also on graphs whose edges
+    # all join the first two positions, where the leaf is depth 1
     graphs = [g for g in helpers.small_corpus(seed=53, n_random=30, n_cacti=8)
               if g.size]
     assert len(graphs) == 46
     for g in graphs + [C34_C4]:
         split = solver_mod._execute(g, 10**9, 1, True).nodes
-        pinned = sum(solver_mod._execute(g, 10**9, 1, True, (a,)).nodes
+        plan = solver_mod._make_plan(g)
+        pinned = sum(solver_mod._run_task(plan, True, a - 1, (a,), 10**9).nodes
                      for a in range(1, (g.order + 1) // 2 + 1))
         assert split == pinned, g
 
@@ -537,6 +596,30 @@ def test_cycles_are_sem_iff_odd():
             assert verify_sem(out.graph, out.witness), n
 
 
+def test_twin_rule_keeps_every_answer():
+    # on seeded twin-rich graphs, with and without seams: status and
+    # valence set are the oracle's, the witness is that of the whole space
+    # searched with the rule off, and nodes and witness are the same at
+    # threads 1 and 2 (the pool runs from order 9)
+    rng = random.Random(61)
+    graphs = [helpers.twin_rich_graph(rng, p_max=9) for _ in range(24)]
+    graphs.append(K23_C3_K2)
+    statuses = []
+    for g in graphs:
+        ref = oracle_search(g)
+        whole = search_sem(g, SEQ, prefix=())
+        outs = [search_sem(g, SearchConfig(use_obstructions=False,
+                                           threads=t)) for t in (1, 2)]
+        assert outs[0].status == outs[1].status == ref.status == whole.status, g
+        assert outs[0].stats.nodes == outs[1].stats.nodes, g
+        assert outs[0].witness == outs[1].witness == whole.witness, g
+        for threads in (1, 2):
+            assert sem_set(g, threads=threads).values == ref.valence_set.values, g
+        statuses.append(ref.status)
+    assert statuses.count(STATUS_SEM) == 6
+    assert sum(g.order >= solver_mod._PARALLEL_MIN_ORDER for g in graphs) == 8
+
+
 def test_symmetry_on_off_same_answers():
     # the task split's complement-symmetry cap against the whole space,
     # searched as one task under an empty prefix
@@ -586,9 +669,10 @@ def test_every_extendable_labeling_is_reached():
     # full-coverage check of the pruning: the number of completions the
     # engine reaches must equal the brute-force count of extendable
     # bijections, and the valences must match exactly. An empty prefix
-    # searches the whole space; the task split covers the bijections whose
-    # first label in assignment order is at most (p+1)//2 and pins two
-    # depths, past the only edge in Graph(4, ((0, 1),))
+    # searches the whole space; the task split covers the twin-swap
+    # leaders (each twin class's labels rise in assignment order) whose
+    # first label is at most (p+1)//2, and pins two depths, past the only
+    # edge in Graph(4, ((0, 1),))
     rng = random.Random(91)
     graphs = [make_cycle(5), make_cycle(6), make_two_cycle(3, 3),
               Graph(4, ((0, 1), (1, 2))), Graph(4, ((0, 1),)), Graph(5, ())]
@@ -596,13 +680,16 @@ def test_every_extendable_labeling_is_reached():
     for g in graphs:
         if g.size == 0:
             continue
-        first = assignment_order(g)[0]
+        order = assignment_order(g)
+        rises = [(u, v) for c in _twin_classes(g)
+                 for u, v in itertools.pairwise(sorted(c, key=order.index))]
         brute = [perm for perm in helpers.all_bijections(g.order)
                  if is_extendable(edge_sums(g, perm))]
         for prefix, space in (
                 ((), brute),
                 (None, [perm for perm in brute
-                        if perm[first] <= (g.order + 1) // 2])):
+                        if perm[order[0]] <= (g.order + 1) // 2
+                        and all(perm[u] < perm[v] for u, v in rises)])):
             engine = solver_mod._execute(g, 10**9, 1, True, prefix)
             assert engine.labelings == len(space), f"coverage differs on {g}"
             want = sorted({g.order + g.size + min(edge_sums(g, perm))
@@ -628,10 +715,10 @@ def test_node_counts_are_pinned():
     # exact counts and witnesses; node counts are deterministic, so any
     # change to the kernel's pruning, assignment step or task split shows here
     for (m, n), nodes, witness in (
-            ((3, 9), 399_594, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
+            ((3, 9), 214_741, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
             ((5, 7), 414_246, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
-            ((3, 5), 1_200, (2, 5, 6, 4, 1, 3, 7)),
-            ((4, 4), 802, (2, 3, 1, 5, 6, 4, 7))):
+            ((3, 5), 686, (2, 5, 6, 4, 1, 3, 7)),
+            ((4, 4), 456, (2, 3, 1, 5, 6, 4, 7))):
         for threads in (1, 2):
             out = search_sem(make_two_cycle(m, n), SearchConfig(threads=threads))
             assert out.status == STATUS_SEM, (m, n)
@@ -641,11 +728,13 @@ def test_node_counts_are_pinned():
     # places an edge, and only those. In the last one, K(2,4) plus two
     # edges, the first two vertices in assignment order are not adjacent,
     # so its tasks pass their pinned depths and count nodes at depth 2.
-    # Each is searched by the task split and, under an empty prefix, whole
+    # Each is searched by the task split, which breaks twin symmetry (K5
+    # and K6 are one class of closed twins), and, under an empty prefix,
+    # whole
     dense = [Graph(k, tuple(itertools.combinations(range(k), 2))) for k in (5, 6)]
     dense.append(Graph(6, tuple((a, b) for a in (0, 1) for b in range(2, 6))
                        + ((2, 3), (4, 5))))
-    for g, counts in zip(dense, ((15, 25), (18, 36), (78, 156))):
+    for g, counts in zip(dense, ((12, 25), (15, 36), (63, 156))):
         assert g.size > 2 * g.order - 3
         for prefix, nodes in zip((None, ()), counts):
             out = search_sem(g, SEQ, prefix=prefix)
@@ -688,11 +777,12 @@ def test_pinned_prefix_node_counts():
 def test_pinned_depths_skip_fill():
     # the leaf, where the ascending fill of the unused labels starts, is the
     # depth of the last edge, or the last pinned depth if deeper; no node
-    # past it counts. Every task of the split pins depth 0 only, so it
-    # counts what an empty prefix counts
+    # past it counts. Every task of the split pins depth 0 only, but takes
+    # only twin-swap leaders: in the second graph 0 and 1, and 2 and 3, are
+    # closed twins, so it counts less than an empty prefix, which takes all
     for g, witness, counts in (
             (Graph(3, ((0, 2),)), (1, 3, 2), (2, 2)),
-            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (34, 34))):
+            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (25, 34))):
         for prefix, nodes in zip((None, ()), counts):
             out = search_sem(g, SearchConfig(threads=1), prefix=prefix)
             assert out.status == STATUS_SEM and out.stats.nodes == nodes
@@ -756,11 +846,12 @@ def test_outcome_json_shape():
     out = search_sem(Graph(2, ()), SEQ)
     assert out.to_json_dict()["interval"] is None
 
-    # an empty prefix searches every bijection, the split only those whose
-    # first label is at most (p+1)//2: on K5, 25 nodes against 15
+    # an empty prefix searches every bijection, the split only the twin-swap
+    # leaders whose first label is at most (p+1)//2: on K5, 25 nodes
+    # against 12
     k5 = Graph(5, tuple(itertools.combinations(range(5), 2)))
     outs = [search_sem(k5, SEQ, prefix=prefix) for prefix in ((), None)]
-    assert [o.stats.nodes for o in outs] == [25, 15]
+    assert [o.stats.nodes for o in outs] == [25, 12]
     assert [o.to_json_dict()["config"]["prefix"] for o in outs] == [[], None]
     out = search_sem(make_cycle(5), SEQ, prefix=[(0, 1)])
     assert out.to_json_dict()["config"]["prefix"] == [[0, 1]]
