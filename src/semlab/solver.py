@@ -15,20 +15,28 @@ labels survives, so reaching the leaf depth, the last one with an edge (or
 the last pinned one, if deeper), is a witness: its ascending fill is the
 least of the labelings that node stands for.
 
-Twins, two vertices with an edge and the same open neighbourhood or the
-same closed one, can swap labels without changing an edge sum. The search
-breaks that symmetry with the lex-leader rule of Crawford, Ginsberg, Luks
-& Roy (KR 1996): a vertex takes only labels above its previous twin's in
-assignment order. Each orbit of twin swaps has one such leader, its least
-labeling. The least witness is one, and a leader or its complement's has
-a first label within the split's cap below, so statuses, witnesses and
-valence sets stay those of the full space; a collect run's labelings
-count leaders. A user prefix may pin twins out of order, so under one the
-rule is off.
+An automorphism of a component keeps every edge sum, so the search takes
+one labeling per orbit, its lex-leader (Crawford, Ginsberg, Luks & Roy, KR
+1996), by Puget's rule for all-different problems (IJCAI 2005): a position
+takes only labels above its lead's, the latest b whose orbit under the
+automorphisms fixing every position before b holds it (the orbits nest,
+so the chains of leads imply the rest), and a base with f followers, the
+positions whose chain reaches it, only labels with f free labels above
+them. A twin's lead is its previous twin (twins: vertices with an edge
+and one open or closed neighbourhood), found without a search; the other
+automorphisms come from colour refinement and a search of bounded work,
+and one out of reach only weakens the rule.
+The least witness is a leader, and a leader's first label is the least
+over the orbit of position 0, so a leader or its complement's is within
+the split's cap below: statuses, witnesses and valence sets stay those of
+the full space, and a collect run's labelings count leaders. Swaps of
+isomorphic components are left out: they would put a lead across a seam,
+which the memo's key does not see. A user prefix may pin a follower below
+its lead, so under one the rule is off.
 
 A seam is the depth just past the block of a component (any but the last
-block with an edge). No position before it has a neighbor or a twin past
-it, so the subtree below it reads only the labels and edge sums in use,
+block with an edge). No position before it has a neighbor or a follower
+past it, so the subtree below it reads only the labels and edge sums in use,
 and many labelings of the finished components meet in one such key. Equal
 keys mean equal subtrees, so each task keeps a bounded memo of the
 subtrees it searched whole below its seams and credits their nodes and
@@ -56,6 +64,7 @@ import multiprocessing as mp
 import os
 import sys
 import time
+from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -178,8 +187,8 @@ def assignment_order(g: Graph) -> list[int]:
     vertices by descending degree, ties by index; components in the order
     their first vertices take in that order over the whole graph. A
     connected graph is in (-degree, index) order, and position 0 is always
-    a vertex of maximum degree. Twins (module docstring) share a component,
-    so the twin rule never reads across the end of a block."""
+    a vertex of maximum degree. A lead (module docstring) lies in its
+    follower's component, so the lead rule never reads across a block."""
     return [v for block in _components(g) for v in block]
 
 
@@ -198,8 +207,97 @@ class _Plan:
     # the seams: the depths just past each block of a component but the last
     # one with an edge
     seams: tuple[int, ...]
-    # each position's previous twin, or p where it has none
-    twin: tuple[int, ...]
+    # each position's lead, whose label it must exceed, or p where it has none
+    lead: tuple[int, ...]
+    # the positions whose chain of leads reaches each position
+    follow: tuple[int, ...]
+
+
+# colour-refinement work one plan may spend on automorphisms, in vertices
+# coloured; past it the plan keeps the twins and the leads found so far
+_AUT_WORK = 1 << 15
+
+
+class _GiveUp(Exception):
+    """The automorphism search ran out of work."""
+
+
+def _refine(nb: list[tuple[int, ...]], colour: list[int],
+            work: list[int]) -> list[int]:
+    """Colour refinement: the coarsest equitable colouring of the graph with
+    neighbour lists ``nb`` that refines ``colour``, canonically numbered."""
+    while True:
+        work[0] -= len(nb)
+        if work[0] < 0:
+            raise _GiveUp
+        sig = [(colour[v], tuple(sorted([colour[w] for w in ws])))
+               for v, ws in enumerate(nb)]
+        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(ids) == len(set(colour)):
+            return [ids[s] for s in sig]
+        colour = [ids[s] for s in sig]
+
+
+def _leads(nb: list[tuple[int, ...]], block: list[int]) -> list[int]:
+    """The lead of each position, given its neighbours and its component's
+    block by position, or n for none (module docstring)."""
+    n, work = len(nb), [_AUT_WORK]
+    # a twin's lead is its previous twin: their swap fixes all else
+    lead, kind, seen = [n] * n, list(range(n)), {}
+    for y, ws in enumerate(nb):
+        keys = ("open", ws), ("closed", tuple(sorted(ws + (y,))))
+        for key in keys if ws else ():
+            if key in seen:
+                lead[y], kind[y] = seen[key], kind[seen[key]]
+            seen[key] = y
+    two = nb + [tuple(w + n for w in ws) for ws in nb]
+
+    def maps(col):
+        # an automorphism that keeps the colouring of two copies of the
+        # graph, the second at n.., or None: individualize and refine
+        col = _refine(two, col, work)
+        count = Counter(col[:n])
+        if count != Counter(col[n:]):
+            return None
+        v = next((v for v in range(n) if count[col[v]] > 1), None)
+        if v is None:  # discrete: each colour on one vertex of each copy
+            at = {c: u - n for u, c in enumerate(col)}
+            return [at[c] for c in col[:n]]
+        for u in range(n, 2 * n):
+            if col[u] == col[v] and (found := maps(
+                    [2 * n if w in (v, u) else c for w, c in enumerate(col)])):
+                return found
+        return None
+
+    try:
+        # stage b, up the stabiliser chain, tests each image of b that keeps
+        # the colouring (blocks first) with the positions before b fixed,
+        # but only where b's colour holds more than one twin class, and
+        # until it is discrete. Running out of work only leaves leads out,
+        # which is sound
+        col = _refine(nb, block, work)
+        classes = Counter(c for c, _ in set(zip(col, kind)))
+        fixed, mixed = 0, [classes[c] > 1 for c in col]
+        for b in range(n):
+            if mixed[b]:
+                col = _refine(nb, [n + x if fixed <= x < b else c
+                                   for x, c in enumerate(col)], work)
+                if len(set(col)) == n:
+                    break
+                fixed, orbit, gens = b, [b], []
+                for y in range(b + 1, n):
+                    if (col[y] == col[b] and kind[y] != kind[b]
+                            and y not in orbit):
+                        gens += filter(None, [maps([
+                            2 * n if x in (b, n + y) else col[x % n]
+                            for x in range(2 * n)])])
+                        for x in orbit:  # b's orbit under those found
+                            orbit += {g[x] for g in gens} - set(orbit)
+                for x in orbit[1:]:
+                    lead[x] = b if lead[x] == n else max(lead[x], b)
+    except _GiveUp:
+        pass
+    return lead
 
 
 def _make_plan(g: Graph) -> _Plan:
@@ -212,21 +310,19 @@ def _make_plan(g: Graph) -> _Plan:
         a, b = sorted((pos[u], pos[v]))
         earlier[b].append(a)
     last = max((d + 1 for d in range(p) if earlier[d]), default=0)
-    # the vertices with an edge take the positions before last. Twins have
-    # the same open neighbourhood (so a common neighbor) or the same closed
-    # one (so an edge): the previous twin lies in the same block
     adj = g.adjacency()
-    twin, seen = [p] * p, {}
-    for x, v in enumerate(order[:last]):
-        for key in (("open", adj[v]), ("closed", tuple(sorted(adj[v] + (v,))))):
-            twin[x] = seen.get(key, twin[x])
-            seen[key] = x
+    lead = _leads([tuple(sorted(pos[w] for w in adj[v])) for v in order],
+                  [i for i, block in enumerate(blocks) for _ in block])
+    follow = [0] * p
+    for y in reversed(range(p)):
+        if lead[y] < p:
+            follow[lead[y]] += follow[y] + 1
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier), last=last,
         seams=tuple(d for d in itertools.accumulate(map(len, blocks))
                     if d < last),
-        twin=tuple(twin))
+        lead=tuple(lead), follow=tuple(follow))
 
 
 @dataclass(frozen=True)
@@ -258,7 +354,8 @@ _WORKER_ABORT = None  # set by the pool initializer in worker processes
 # 30,000 entries), so a full memo takes ~8 MB per task. C6 + C(3,4) peaks at
 # 3,361 entries; over the (4, 2, ..., 2) graphs, order 12 peaks at 7,667
 # (C(4,5) + C4) and order 13 at 30,338 (C(4,5) + C5), so from order 14 a
-# task may fill it
+# task may fill it. The lead rule leaves these peaks as they were: the
+# labelings of a block that an automorphism relates meet in one key
 _MEMO_MAX_ENTRIES = 1 << 15
 
 
@@ -279,7 +376,8 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     The search recurses once per depth, so the task raises the recursion
     limit, which is process-wide, to fit p frames above its callers'. It
     never lowers it."""
-    p, q, earlier, pos, twin = plan.p, plan.q, plan.earlier, plan.pos, plan.twin
+    p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
+    lead, follow = plan.lead, plan.follow
     sys.setrecursionlimit(max(sys.getrecursionlimit(), p + _CALLER_FRAMES))
     # the edge sums must fit a window of width q-1. A graph with more than
     # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
@@ -288,7 +386,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
 
     used_label = bytearray(p + 2)
     used_sum = bytearray(2 * p + 2)
-    labels_at = [0] * (p + 1)  # labels_at[p], "no twin", stays 0
+    labels_at = [0] * (p + 1)  # labels_at[p], "no lead", stays 0
 
     abort_box = _WORKER_ABORT
     # one test per node serves the cap and, in a pool worker, the abort poll
@@ -298,6 +396,8 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
     choices = [(lab,) for lab in prefix_labels] + [tuple(range(1, p + 1))] * (p - start)
+    if start and prefix_labels[0] > p - follow[0]:
+        choices[0] = ()  # position 0's followers need larger labels
     # past the last edge any fill of the unused labels works, so the leaf is
     # the last depth with an edge, or the last pinned one if deeper. Its
     # ascending fill is the least of the (p-1-leaf)! completions it stands for
@@ -320,12 +420,19 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
             labels_at=labels_at, q1=q1, leaf=leaf, poll=poll,
-            descend=descend, twin=twin, islice=itertools.islice) -> int:
+            descend=descend, lead=lead, follow=follow,
+            islice=itertools.islice) -> int:
         earlier_d = earlier[d]
-        # the twin rule: only labels above the previous twin's, uncounted
-        # below it (islice, as the shared tuple must not be copied per call)
-        above = labels_at[twin[d]]
-        for lab in islice(choices[d], above, None) if above else choices[d]:
+        # the lead rule: only labels above the lead's, and at a base with f
+        # followers only those with f free labels above them, uncounted
+        # outside (islice, as the shared tuple must not be copied per call).
+        # The cap falls by the used labels above it until it stands still
+        above, f = labels_at[lead[d]], follow[d]
+        top = p - f if f else None
+        while f and (lower := p - f - used_label.count(1, top + 1)) < top:
+            top = lower
+        for lab in (islice(choices[d], above, top) if above or f
+                    else choices[d]):
             if used_label[lab]:
                 continue
             nodes += 1
@@ -456,9 +563,9 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     first node."""
     plan = _make_plan(g)
     if prefix is not None:
-        # a prefix may pin twins out of order, and () promises every
-        # bijection: the twin rule is off
-        plan = replace(plan, twin=(plan.p,) * plan.p)
+        # a prefix may pin a lead's followers below it, and () promises
+        # every bijection: the lead rule is off
+        plan = replace(plan, lead=(plan.p,) * plan.p, follow=(0,) * plan.p)
     full = None if interval is None else len(interval.values())
     closed: set[int] = set()  # the valences replayed and their duals
     # complement symmetry: f and p+1-f give consecutive edge sums together,

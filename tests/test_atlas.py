@@ -40,12 +40,11 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
     # node counts are deterministic: any change to the kernel's pruning or
     # task split shows here. 729 of these graphs have a vertex with three or
     # more neighbours assigned before it
-    assert (nodes, labelings) == (478_480, 624)
-    # full enumeration of the twin-swap leaders, and the collect runs of
-    # sem_set, which stop once the valences found and their duals fill the
-    # interval
-    assert collect_nodes == 1_219_770
-    assert saturated == [1_215, 790_441]
+    assert (nodes, labelings) == (352_148, 624)
+    # full enumeration of the lex-leaders, and the collect runs of sem_set,
+    # which stop once the valences found and their duals fill the interval
+    assert collect_nodes == 931_242
+    assert saturated == [1_215, 593_548]
 
 
 def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
@@ -92,9 +91,9 @@ def test_seam_memo_credits_nothing_on_connected_graphs():
 
 def test_split_count_is_that_of_one_sequential_search():
     # the least labeling in assignment order has its first label at most
-    # (p+1)//2, or its complement would be less, and it is a twin-swap
-    # leader, or a swap would make it less. So one task over every first
-    # label, with the twin rule on, visits the split's nodes up to the
+    # (p+1)//2, or its complement would be less, and it is a lex-leader,
+    # or an automorphism would make it less. So one task over every first
+    # label, with the lead rule on, visits the split's nodes up to the
     # split's witness and stops there: on every SEM graph both count the
     # same. Every bijection, prefix=() with the rule off, has that witness
     graphs = [g for _, g in atlas_graphs()]

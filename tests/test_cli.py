@@ -327,9 +327,9 @@ def test_interval_valences_perfect(capsys):
 
 
 def test_valences_budget_exit_codes(capsys):
-    # sem_set on C(4,8) fills its interval [29, 30] at node 217,723: one
+    # sem_set on C(4,8) fills its interval [29, 30] at node 187,488: one
     # node short of it the set is partial (exit 2), at it complete (exit 0)
-    for budget, code, values in (("217722", 2, []), ("217723", 0, [29, 30])):
+    for budget, code, values in (("187487", 2, []), ("187488", 0, [29, 30])):
         got, out, _ = run(capsys, "valences", "--gen", "two-cycle", "4", "8",
                           "--budget", budget, "--threads", "2", "--json")
         assert got == code

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -140,7 +141,7 @@ def test_search_statuses():
 
 def test_budget_is_deterministic_across_threads():
     # every graph here has order >= _PARALLEL_MIN_ORDER, so threads > 1 run
-    # the pool; C(3,7) is not SEM and takes 27,782 nodes
+    # the pool; C(3,7) is not SEM and takes 22,789 nodes
     assert make_two_cycle(3, 7).order >= solver_mod._PARALLEL_MIN_ORDER
     for budget in (17, 400, 9999):
         outs = [
@@ -151,10 +152,10 @@ def test_budget_is_deterministic_across_threads():
         ]
         assert {o.status for o in outs} == {STATUS_UNKNOWN_BUDGET_EXCEEDED}
         assert {o.stats.nodes for o in outs} == {budget}
-    # C(3,9) reaches its witness at node 214,741: one node short of it, and
+    # C(3,9) reaches its witness at node 188,220: one node short of it, and
     # exactly at it, where a task's cap meets its sequential allowance
-    for budget, status in ((214_740, STATUS_UNKNOWN_BUDGET_EXCEEDED),
-                           (214_741, STATUS_SEM)):
+    for budget, status in ((188_219, STATUS_UNKNOWN_BUDGET_EXCEEDED),
+                           (188_220, STATUS_SEM)):
         outs = [search_sem(make_two_cycle(3, 9),
                            SearchConfig(threads=t, budget=budget))
                 for t in (1, 2, 4)]
@@ -171,15 +172,17 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
     # the pool's collect path cut at, inside and just short of the end of a
     # full enumeration. A cut keeps the valences the cut task reached
     # within its sequential allowance: C9's first task reaches 24 at node
-    # 2,492 of 63,044, and C(4,8)'s third, 188,437 nodes in, reaches 29 at
-    # its node 29,286 of 669,831. sem_set, which stops at those nodes, is
-    # complete from them on, and each partial set is part of the whole one.
-    # test_cli checks the exit codes of `valences` at C(4,8)'s edge
+    # 2,491 of 9,881 (its other four are empty: the eight followers of
+    # position 0 leave it label 1 alone), and C(4,8)'s third, 160,935 nodes
+    # in, reaches 29 at its node 26,553 of 569,789. sem_set, which stops at
+    # those nodes, is complete from them on, and each partial set is part
+    # of the whole one. test_cli checks the exit codes of `valences` at
+    # C(4,8)'s edge
     for g, edge, total, valences, budgets in (
-            (make_cycle(9), 2_492, 63_044, {24},
-             (500, 2_491, 2_492, 30_000, 63_043, 63_044)),
-            (make_two_cycle(4, 8), 217_723, 669_831, {29},
-             (500, 217_722, 217_723))):
+            (make_cycle(9), 2_491, 9_881, {24},
+             (500, 2_490, 2_491, 5_000, 9_880, 9_881)),
+            (make_two_cycle(4, 8), 187_488, 569_789, {29},
+             (500, 187_487, 187_488))):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         whole = set(sem_set(g, threads=1).values)
         for budget in budgets:
@@ -212,7 +215,7 @@ def test_parallel_work_is_bounded_by_budget():
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     # one test per node serves the cap and, in a pool worker, the abort poll
-    # at every 4096th node; task 1 of C(3,9), first label 2, with 92,720
+    # at every 4096th node; task 1 of C(3,9), first label 2, with 80,675
     # nodes stops at exactly its cap on either side of a poll, with and
     # without an abort box
     plan = solver_mod._make_plan(make_two_cycle(3, 9))
@@ -223,14 +226,14 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
             res = solver_mod._run_task(plan, True, 1, (2,), cap)
             assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
         res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
-        assert (res.nodes, res.exhausted) == (92_720, True)
+        assert (res.nodes, res.exhausted) == (80_675, True)
     # a task whose index lies past the abort value quits at its first poll
     box.value = 0
     res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
 
 
-# C(3,4) + C4, order 10: NOT_SEM after 70,675 nodes. Its two-cycle takes
+# C(3,4) + C4, order 10: NOT_SEM after 27,773 nodes. Its two-cycle takes
 # the first six positions, so the search has one seam, at depth 6, where
 # nothing assigned before it has a neighbor after it
 C34_C4 = disjoint_union(make_two_cycle(3, 4), make_cycle(4))
@@ -275,10 +278,34 @@ def _twin_classes(g):
     return [c for c in classes.values() if len(c) > 1]
 
 
-def test_twins_and_seams_stay_inside_component_blocks():
+def _automorphisms(g):
+    """Every permutation of positions that keeps the edges and maps each
+    component's block of positions to itself, by brute force."""
+    pos = solver_mod._make_plan(g).pos
+    edges = {frozenset((pos[u], pos[v])) for u, v in g.edges}
+    h = nx.empty_graph(g.order)
+    h.add_edges_from(g.edges)
+    block = {}
+    for i, comp in enumerate(nx.connected_components(h)):
+        block.update((pos[v], i) for v in comp)
+    return [m for m in itertools.permutations(range(g.order))
+            if all(block[m[x]] == block[x] for x in range(g.order))
+            and {frozenset((m[a], m[b])) for a, b in edges} == edges]
+
+
+def _lead_chain(plan, y):
+    chain = []
+    while plan.lead[y] < plan.p:
+        y = plan.lead[y]
+        chain.append(y)
+    return chain
+
+
+def test_leads_and_seams_stay_inside_component_blocks():
     # every component takes one contiguous block of positions, no edge
-    # crosses a seam (the live set there is empty), and each twin class is
-    # a chain of previous twins inside one block, in assignment order
+    # crosses a seam (the live set there is empty), each lead lies before
+    # its position in the same block, and the chain of leads from each
+    # position passes every earlier twin of it
     rng = random.Random(83)
     graphs = [K23_C3_K2, C34_C4, C33_C3_C3, C45_C3,
               disjoint_union(make_cycle(6), make_two_cycle(3, 4)),
@@ -297,22 +324,69 @@ def test_twins_and_seams_stay_inside_component_blocks():
         for d in plan.seams:
             assert not any(min(pos[u], pos[v]) < d <= max(pos[u], pos[v])
                            for u, v in g.edges), (g, d)
-        chains = {}  # keyed by their last position so far
-        for x, t in enumerate(plan.twin):
-            if t < g.order:
-                assert t < x and block_of[t] == block_of[x], g
-                chains[x] = chains.pop(t) + [x]
-            else:
-                chains[x] = [x]
-        assert {tuple(c) for c in chains.values() if len(c) > 1} == {
-            tuple(sorted(pos[v] for v in c)) for c in _twin_classes(g)}, g
+        for y, b in enumerate(plan.lead):
+            assert b == g.order or (b < y and block_of[b] == block_of[y]), g
+        for c in _twin_classes(g):
+            at = sorted(pos[v] for v in c)
+            for x, y in itertools.pairwise(at):
+                assert x in _lead_chain(plan, y), (g, x, y)
     assert sum(len(_twin_classes(g)) for g in graphs) > 100
 
 
+def test_leads_are_the_stabiliser_chain_orbits():
+    # by brute force over every permutation, on every atlas graph of order
+    # at most 6 and chosen graphs of order 7: the lead of y is the latest b
+    # whose orbit, under the automorphisms that fix every position before b
+    # and map each component to itself, holds y, so an automorphism fixing
+    # the positions before b maps b to y; and b's followers are the rest of
+    # that orbit, so no orbit is missed
+    graphs = [Graph(a.number_of_nodes(), tuple(a.edges()))
+              for a in nx.graph_atlas_g()[1:209] if a.number_of_edges()]
+    assert {g.order for g in graphs} == {2, 3, 4, 5, 6}
+    graphs += [make_cycle(7), make_two_cycle(3, 5), make_two_cycle(4, 4),
+               disjoint_union(make_cycle(3), make_cycle(4)),
+               Graph(7, tuple((0, v) for v in range(1, 7))
+                     + tuple((v, v % 6 + 1) for v in range(1, 7)))]
+    moved = 0
+    for g in graphs:
+        plan = solver_mod._make_plan(g)
+        auts = _automorphisms(g)
+        lead, follow = [g.order] * g.order, [0] * g.order
+        for b in range(g.order):
+            orbit = {m[b] for m in auts if m[:b] == tuple(range(b))}
+            follow[b] = len(orbit) - 1
+            for y in orbit - {b}:
+                lead[y] = b
+        assert (plan.lead, plan.follow) == (tuple(lead), tuple(follow)), g
+        moved += sum(follow)
+    assert len(graphs) == 207 and moved == 559
+
+
+def test_plan_of_a_rigid_cubic_graph_is_cheap():
+    # a cubic graph of order 20 with no automorphism but the identity: every
+    # vertex has one colour, so the plan refines and tests candidate images
+    # before it finds no lead, and stays well inside its work cap
+    g = Graph(20, ((0, 2), (0, 5), (0, 18), (1, 4), (1, 14), (1, 16), (2, 5),
+                   (2, 7), (3, 9), (3, 11), (3, 18), (4, 8), (4, 14), (5, 17),
+                   (6, 7), (6, 13), (6, 19), (7, 16), (8, 10), (8, 16),
+                   (9, 15), (9, 17), (10, 12), (10, 19), (11, 14), (11, 15),
+                   (12, 13), (12, 19), (13, 18), (15, 17)))
+    assert set(g.degrees()) == {3}
+    h = nx.Graph(g.edges)
+    assert sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter()) == 1
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        plan = solver_mod._make_plan(g)
+        times.append(time.perf_counter() - start)
+    assert plan.lead == (20,) * 20 and plan.follow == (0,) * 20
+    assert min(times) < 0.05
+
+
 def test_a_memo_hit_never_stops_a_task(monkeypatch):
-    # task 1 of C(3,4) + C4, first label 2, searches 12,598 nodes and
-    # credits 422 more from its seam memo. Its first hit, 1,553 nodes in,
-    # credits 22, and its last, 7,946 nodes in, credits 16. The cap bounds
+    # task 1 of C(3,4) + C4, first label 2, searches 5,115 nodes and
+    # credits 88 more from its seam memo. Its first hit, 650 nodes in,
+    # credits 5, and its last, 3,347 nodes in, credits 3. The cap bounds
     # the nodes searched: a credit that takes the count past the cap stops
     # nothing, and the task stops only at a searched node past its cap, with
     # and without an abort box
@@ -321,12 +395,12 @@ def test_a_memo_hit_never_stops_a_task(monkeypatch):
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
         for cap, nodes, credited, exhausted in (
-                (1_552, 1_552, 0, False), (1_553, 1_575, 22, False),
-                (7_945, 8_351, 406, False),
-                (7_946, 8_368, 422, False),
-                (12_597, 13_019, 422, False),
-                (12_598, 13_020, 422, True),
-                (10**9, 13_020, 422, True)):
+                (649, 649, 0, False), (650, 655, 5, False),
+                (3_346, 3_431, 85, False),
+                (3_347, 3_435, 88, False),
+                (5_114, 5_202, 88, False),
+                (5_115, 5_203, 88, True),
+                (10**9, 5_203, 88, True)):
             res = solver_mod._run_task(plan, True, 1, (2,), cap)
             assert (res.nodes, res.credited, res.exhausted) == (
                 nodes, credited, exhausted), (abort, cap)
@@ -341,21 +415,21 @@ def test_a_memo_hit_never_stops_a_task(monkeypatch):
             return 10**6 if self.polls == 1 else 0
 
     # a hit polls nothing: the task quits at the kernel's next poll, node
-    # 4,097, with the 152 nodes credited before it
+    # 4,097, with the 88 nodes credited before it
     monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
     res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
-    assert (res.nodes, res.credited, res.exhausted) == (4_249, 152, False)
+    assert (res.nodes, res.credited, res.exhausted) == (4_185, 88, False)
 
 
 def test_memo_credits_cost_no_budget():
-    # the budget bounds the nodes searched: C(3,4) + C4 searches 68,350 of
-    # its 70,675 nodes, and C(3,3) + C3 + C3 25,213 of its 43,095, so a
-    # budget between the two decides it, at threads 1 and 2 alike. (3C3
-    # credits nothing: each triangle's labels rise, so no two labelings of
-    # the first meet in a key)
+    # the budget bounds the nodes searched: C(3,4) + C4 searches 27,297 of
+    # its 27,773 nodes, and C(4,5) + C3 93,118 of its 96,570, so a budget
+    # between the two decides it, at threads 1 and 2 alike. (3C3 and
+    # C(3,3) + C3 + C3 credit nothing: no two leaders of a block before a
+    # seam meet in a key)
     for g, budget, status, nodes, searched in (
-            (C34_C4, 70_000, STATUS_NOT_SEM_EXHAUSTED, 70_675, 68_350),
-            (C33_C3_C3, 30_000, STATUS_SEM, 43_095, 25_213)):
+            (C34_C4, 27_500, STATUS_NOT_SEM_EXHAUSTED, 27_773, 27_297),
+            (C45_C3, 95_000, STATUS_SEM, 96_570, 93_118)):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         for threads in (1, 2):
             out = search_sem(g, SearchConfig(use_obstructions=False,
@@ -367,19 +441,19 @@ def test_memo_credits_cost_no_budget():
 
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
     # a cut reports the budget plus the nodes credited in the tasks replayed
-    # before it. Budgets in the first task; in task 1 (11,938 nodes searched
-    # and 231 credited come before it) at its first and last hits; just
-    # past task 1, whose 422 credits then count; and one short of the
-    # 68,350 nodes searched in all, past 1,798 credited
+    # before it. Budgets in the first task; in task 1 (4,993 nodes searched
+    # and 47 credited come before it) at its first and last hits; just past
+    # task 1, whose 88 credits then count; and one short of the 27,297
+    # nodes searched in all, past 367 credited
     g = C34_C4
     assert g.order >= solver_mod._PARALLEL_MIN_ORDER
     for budget, status, nodes in (
             (17, STATUS_UNKNOWN_BUDGET_EXCEEDED, 17),
-            (13_491, STATUS_UNKNOWN_BUDGET_EXCEEDED, 13_722),
-            (19_884, STATUS_UNKNOWN_BUDGET_EXCEEDED, 20_115),
-            (24_536, STATUS_UNKNOWN_BUDGET_EXCEEDED, 25_189),
-            (68_349, STATUS_UNKNOWN_BUDGET_EXCEEDED, 70_147),
-            (68_350, STATUS_NOT_SEM_EXHAUSTED, 70_675)):
+            (5_643, STATUS_UNKNOWN_BUDGET_EXCEEDED, 5_690),
+            (8_340, STATUS_UNKNOWN_BUDGET_EXCEEDED, 8_387),
+            (10_108, STATUS_UNKNOWN_BUDGET_EXCEEDED, 10_243),
+            (27_296, STATUS_UNKNOWN_BUDGET_EXCEEDED, 27_663),
+            (27_297, STATUS_NOT_SEM_EXHAUSTED, 27_773)):
         outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
                                            budget=budget)) for t in (1, 2, 4)]
         assert {(o.status, o.stats.nodes) for o in outs} == {(status, nodes)}
@@ -391,7 +465,7 @@ def test_budget_cut_on_a_disconnected_graph_is_deterministic():
 
 def test_a_full_seam_memo_changes_nothing(monkeypatch):
     # past its bound the memo stops storing but keeps answering
-    graphs = (C34_C4, C33_C3_C3)
+    graphs = (C34_C4, C45_C3)
     want = [[solver_mod._execute(g, 10**9, 1, collect) for g in graphs]
             for collect in (False, True)]
     monkeypatch.setattr(solver_mod, "_MEMO_MAX_ENTRIES", 1)
@@ -409,11 +483,11 @@ def test_disconnected_paper_family_is_pinned():
     # and 2. C(3,3) + C3 + C3 has two seams
     for g, status, nodes, witness, valences in (
             (disjoint_union(make_two_cycle(3, 3), make_cycle(4)),
-             STATUS_NOT_SEM_EXHAUSTED, 17_819, None, ()),
-            (C34_C4, STATUS_NOT_SEM_EXHAUSTED, 70_675, None, ()),
-            (C33_C3_C3, STATUS_SEM, 43_095,
+             STATUS_NOT_SEM_EXHAUSTED, 3_097, None, ()),
+            (C34_C4, STATUS_NOT_SEM_EXHAUSTED, 27_773, None, ()),
+            (C33_C3_C3, STATUS_SEM, 17_892,
              (3, 4, 11, 6, 10, 1, 5, 7, 2, 8, 9), (29, 30)),
-            (C45_C3, STATUS_SEM, 177_208,
+            (C45_C3, STATUS_SEM, 96_570,
              (3, 4, 2, 7, 5, 11, 1, 10, 6, 8, 9), (29, 30))):
         assert g.order >= solver_mod._PARALLEL_MIN_ORDER
         assert solver_mod._make_plan(g).seams
@@ -620,6 +694,42 @@ def test_twin_rule_keeps_every_answer():
     assert sum(g.order >= solver_mod._PARALLEL_MIN_ORDER for g in graphs) == 8
 
 
+def test_lead_rule_keeps_every_answer_on_symmetric_graphs():
+    # cycles, two disjoint cycles and vertex-transitive graphs, where the
+    # lead rule cuts most: status and valence set are the oracle's, the
+    # witness is that of the whole space searched with the rule off, and
+    # the search's nodes and witness, and sem_set's nodes and valences, are
+    # the same at threads 1, 2 and 4. From order 10 the oracle pins label 1
+    # at one vertex of each vertex orbit, which every labeling's orbit meets
+    named = (nx.complete_bipartite_graph(3, 3), nx.hypercube_graph(3),
+             nx.petersen_graph(), nx.circular_ladder_graph(5))
+    graphs = [(make_cycle(n), (0,)) for n in range(3, 12)]
+    graphs += [(disjoint_union(make_cycle(m), make_cycle(n)), (0, m))
+               for m in range(3, 6) for n in range(m, 11 - m)]
+    graphs += [(Graph(h.order(), tuple(nx.convert_node_labels_to_integers(h).edges)),
+                (0,)) for h in named]
+    assert len(graphs) == 22
+    for g, reps in graphs:
+        refs = ([oracle_search(g, prefix=[(v, 1)]) for v in reps]
+                if g.order >= 10 else [oracle_search(g)])
+        status = (STATUS_SEM if STATUS_SEM in {r.status for r in refs}
+                  else STATUS_NOT_SEM_EXHAUSTED)
+        values = tuple(sorted(set().union(*(r.valence_set.values for r in refs))))
+        whole = search_sem(g, SEQ, prefix=())
+        assert whole.status == status, g
+        assert sem_set(g, threads=1).values == values, g
+        outs, collects = set(), set()
+        for threads in (1, 2, 4):
+            out = search_sem(g, SearchConfig(use_obstructions=False,
+                                             threads=threads))
+            outs.add((out.status, out.stats.nodes, out.witness))
+            engine = solver_mod._execute(g, 10**9, threads, True,
+                                         interval=sem_interval(g))
+            collects.add((engine.nodes, tuple(sorted(engine.valences))))
+        assert outs == {(status, out.stats.nodes, whole.witness)}, g
+        assert len(collects) == 1, g
+
+
 def test_symmetry_on_off_same_answers():
     # the task split's complement-symmetry cap against the whole space,
     # searched as one task under an empty prefix
@@ -669,10 +779,10 @@ def test_every_extendable_labeling_is_reached():
     # full-coverage check of the pruning: the number of completions the
     # engine reaches must equal the brute-force count of extendable
     # bijections, and the valences must match exactly. An empty prefix
-    # searches the whole space; the task split covers the twin-swap
-    # leaders (each twin class's labels rise in assignment order) whose
-    # first label is at most (p+1)//2, and pins two depths, past the only
-    # edge in Graph(4, ((0, 1),))
+    # searches the whole space; the task split covers the lex-leaders (in
+    # assignment order, under the automorphisms that map each component to
+    # itself) whose first label is at most (p+1)//2, and pins two depths,
+    # past the only edge in Graph(4, ((0, 1),))
     rng = random.Random(91)
     graphs = [make_cycle(5), make_cycle(6), make_two_cycle(3, 3),
               Graph(4, ((0, 1), (1, 2))), Graph(4, ((0, 1),)), Graph(5, ())]
@@ -681,15 +791,19 @@ def test_every_extendable_labeling_is_reached():
         if g.size == 0:
             continue
         order = assignment_order(g)
-        rises = [(u, v) for c in _twin_classes(g)
-                 for u, v in itertools.pairwise(sorted(c, key=order.index))]
+        auts = _automorphisms(g)
+
+        def leads(perm):
+            key = tuple(perm[v] for v in order)
+            return all(key <= tuple(key[x] for x in m) for m in auts)
+
         brute = [perm for perm in helpers.all_bijections(g.order)
                  if is_extendable(edge_sums(g, perm))]
         for prefix, space in (
                 ((), brute),
                 (None, [perm for perm in brute
                         if perm[order[0]] <= (g.order + 1) // 2
-                        and all(perm[u] < perm[v] for u, v in rises)])):
+                        and leads(perm)])):
             engine = solver_mod._execute(g, 10**9, 1, True, prefix)
             assert engine.labelings == len(space), f"coverage differs on {g}"
             want = sorted({g.order + g.size + min(edge_sums(g, perm))
@@ -715,10 +829,10 @@ def test_node_counts_are_pinned():
     # exact counts and witnesses; node counts are deterministic, so any
     # change to the kernel's pruning, assignment step or task split shows here
     for (m, n), nodes, witness in (
-            ((3, 9), 214_741, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
-            ((5, 7), 414_246, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
-            ((3, 5), 686, (2, 5, 6, 4, 1, 3, 7)),
-            ((4, 4), 456, (2, 3, 1, 5, 6, 4, 7))):
+            ((3, 9), 188_220, (3, 4, 6, 8, 9, 7, 1, 5, 10, 2, 11)),
+            ((5, 7), 184_796, (3, 4, 2, 6, 7, 9, 8, 1, 10, 5, 11)),
+            ((3, 5), 517, (2, 5, 6, 4, 1, 3, 7)),
+            ((4, 4), 238, (2, 3, 1, 5, 6, 4, 7))):
         for threads in (1, 2):
             out = search_sem(make_two_cycle(m, n), SearchConfig(threads=threads))
             assert out.status == STATUS_SEM, (m, n)
@@ -728,13 +842,13 @@ def test_node_counts_are_pinned():
     # places an edge, and only those. In the last one, K(2,4) plus two
     # edges, the first two vertices in assignment order are not adjacent,
     # so its tasks pass their pinned depths and count nodes at depth 2.
-    # Each is searched by the task split, which breaks twin symmetry (K5
-    # and K6 are one class of closed twins), and, under an empty prefix,
-    # whole
+    # Each is searched by the task split, which breaks their symmetry (K5
+    # and K6 take only labels that rise in assignment order, so one node
+    # at depth 0 and one at depth 1), and, under an empty prefix, whole
     dense = [Graph(k, tuple(itertools.combinations(range(k), 2))) for k in (5, 6)]
     dense.append(Graph(6, tuple((a, b) for a in (0, 1) for b in range(2, 6))
                        + ((2, 3), (4, 5))))
-    for g, counts in zip(dense, ((12, 25), (15, 36), (63, 156))):
+    for g, counts in zip(dense, ((2, 25), (2, 36), (27, 156))):
         assert g.size > 2 * g.order - 3
         for prefix, nodes in zip((None, ()), counts):
             out = search_sem(g, SEQ, prefix=prefix)
@@ -778,11 +892,11 @@ def test_pinned_depths_skip_fill():
     # the leaf, where the ascending fill of the unused labels starts, is the
     # depth of the last edge, or the last pinned depth if deeper; no node
     # past it counts. Every task of the split pins depth 0 only, but takes
-    # only twin-swap leaders: in the second graph 0 and 1, and 2 and 3, are
+    # only lex-leaders: in the second graph 0 and 1, and 2 and 3, are
     # closed twins, so it counts less than an empty prefix, which takes all
     for g, witness, counts in (
             (Graph(3, ((0, 2),)), (1, 3, 2), (2, 2)),
-            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (25, 34))):
+            (Graph(5, ((0, 1), (2, 3))), (1, 5, 2, 3, 4), (22, 34))):
         for prefix, nodes in zip((None, ()), counts):
             out = search_sem(g, SearchConfig(threads=1), prefix=prefix)
             assert out.status == STATUS_SEM and out.stats.nodes == nodes
@@ -846,12 +960,12 @@ def test_outcome_json_shape():
     out = search_sem(Graph(2, ()), SEQ)
     assert out.to_json_dict()["interval"] is None
 
-    # an empty prefix searches every bijection, the split only the twin-swap
-    # leaders whose first label is at most (p+1)//2: on K5, 25 nodes
-    # against 12
+    # an empty prefix searches every bijection, the split only the
+    # lex-leaders whose first label is at most (p+1)//2: on K5, 25 nodes
+    # against 2
     k5 = Graph(5, tuple(itertools.combinations(range(5), 2)))
     outs = [search_sem(k5, SEQ, prefix=prefix) for prefix in ((), None)]
-    assert [o.stats.nodes for o in outs] == [25, 12]
+    assert [o.stats.nodes for o in outs] == [25, 2]
     assert [o.to_json_dict()["config"]["prefix"] for o in outs] == [[], None]
     out = search_sem(make_cycle(5), SEQ, prefix=[(0, 1)])
     assert out.to_json_dict()["config"]["prefix"] == [[0, 1]]
