@@ -43,8 +43,8 @@ subtrees it searched whole below its seams and credits their nodes and
 labelings on a repeat instead of searching them again. Node counts stay
 exact, and a connected graph has no seam.
 
-Work splits deterministically on the first label: the subtree under each
-is a task, whose seam memo spans all of it. One executor streams the tasks
+Work splits deterministically on the first label: each live one is a
+task, whose seam memo spans its subtree. One executor streams the tasks
 to a worker pool (a pool of one, in this process, when single-threaded)
 and replays their results in prefix order as if they ran strictly
 sequentially, so statuses, valence sets, node counts and witnesses do not
@@ -396,8 +396,6 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
     choices = [(lab,) for lab in prefix_labels] + [tuple(range(1, p + 1))] * (p - start)
-    if start and prefix_labels[0] > p - follow[0]:
-        choices[0] = ()  # position 0's followers need larger labels
     # past the last edge any fill of the unused labels works, so the leaf is
     # the last depth with an edge, or the last pinned one if deeper. Its
     # ascending fill is the least of the (p-1-leaf)! completions it stands for
@@ -549,8 +547,8 @@ class _InlinePool(Executor):
 def _execute(g: Graph, budget: int, threads: int, collect: bool,
              prefix: tuple[int, ...] | None = None,
              interval: ValenceInterval | None = None) -> _EngineResult:
-    """Run one task per first label, or the one task that ``prefix`` (labels
-    in assignment order) pins, at most a window ahead of an in-order
+    """Run one task per live first label, or the one task that ``prefix``
+    (labels in assignment order) pins, at most a window ahead of an in-order
     replay that applies sequential budget rules to the nodes searched. A
     task's cap is what the budget leaves after the tasks replayed when it is
     submitted: never below its sequential allowance, so a task that hits its
@@ -570,8 +568,10 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     closed: set[int] = set()  # the valences replayed and their duals
     # complement symmetry: f and p+1-f give consecutive edge sums together,
     # so first labels up to (p+1)//2 meet every labeling or its complement.
-    # sem_set's duality closure relies on this cap to recover the rest
-    tasks = ([(first,) for first in range(1, (plan.p + 1) // 2 + 1)]
+    # sem_set's duality closure relies on this cap to recover the rest. The
+    # lead rule leaves none live above p less position 0's followers
+    live = min((plan.p + 1) // 2, plan.p - plan.follow[0])
+    tasks = ([(first,) for first in range(1, live + 1)]
              if prefix is None else [prefix])
     out = _EngineResult()
     n = len(tasks)

@@ -164,7 +164,13 @@ def _no_search(*args, **kwargs):
     raise RuntimeError("searched before every input was checked")
 
 
+_TEST_PID = os.getpid()
+
+
 def _exit_at_once(*args):
+    # only a pool worker may die here: run in this process, the task fails
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("the task ran in the test process, not the pool")
     os._exit(1)
 
 
@@ -199,11 +205,12 @@ def test_internal_failure_exits_4(capsys, monkeypatch):
 
 
 def test_dead_worker_exits_4(capsys, monkeypatch):
-    # a pool worker that dies breaks the pool (order 9 and two threads start
-    # one); the forked workers inherit the patched task
+    # a pool worker that dies breaks the pool (order 11, six live first
+    # labels and two threads start one; an obstruction decides nothing
+    # here); the forked workers inherit the patched task
     monkeypatch.setattr(solver_mod, "_run_task", _exit_at_once)
-    assert solver_mod._PARALLEL_MIN_ORDER <= 9
-    code, out, err = run(capsys, "solve", "--gen", "cycle", "9",
+    assert solver_mod._PARALLEL_MIN_ORDER <= 11
+    code, out, err = run(capsys, "solve", "--gen", "two-cycle", "3", "9",
                          "--threads", "2")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal: BrokenProcessPool: ")
@@ -389,13 +396,14 @@ def test_sweep_takes_sigma_from_a_filling_witness(capsys, monkeypatch):
     rows = {line.split(",")[1]: line.split(",") for line in out.splitlines()[1:]}
     assert [rows[f"m={m};n={n}"][8] for m, n in ((3, 5), (4, 4), (5, 3))] == [
         "19|20"] * 3
-    # the star K(1,3) has the interval [10, 12], which no dual pair fills:
-    # sem_set gives its valence set, which misses 11
+    # the star K(1,3) is no sweep row: its interval [10, 12] is wider than
+    # a dual pair, which a sweep takes for its valence set only on a check
+    # that survives python -O
     star = Graph(4, ((0, 1), (0, 2), (0, 3)))
     monkeypatch.setattr(cli_mod, "_sweep_graphs", lambda args: [("star", star)])
-    code, out, _ = run(capsys, "sweep", "two-cycle-grid", "--threads", "1")
-    assert code == 0 and calls == [star]
-    assert out.splitlines()[1].split(",")[5:9] == ["SEM", "10", "12", "10|12"]
+    code, out, err = run(capsys, "sweep", "two-cycle-grid", "--threads", "1")
+    assert (code, out) == (4, "") and not calls
+    assert err.startswith("error: internal: AssertionError: ")
 
 
 def test_sweep_degseq_family(capsys):
@@ -414,7 +422,7 @@ def test_sweep_three_cycle_series(capsys):
     assert code == 0
     line = out.strip().splitlines()[1]
     assert line.startswith("three-cycle-series,k=3,11,12,")
-    assert ",SEM," in line
+    assert line.split(",")[5:9] == ["SEM", "29", "30", "29|30"]
 
     code, _, err = run(capsys, "sweep", "three-cycle-series", "--k", "5..5")
     assert code == 3 and "max-order" in err

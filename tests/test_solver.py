@@ -42,6 +42,30 @@ import semlab.solver as solver_mod
 import helpers
 
 SEQ = SearchConfig(use_obstructions=False, threads=1)
+# 3C3, order 9: SEM, its interval [24, 24]; the lead rule leaves each of its
+# five first labels live
+C3_C3_C3 = disjoint_union(make_cycle(3), make_cycle(3), make_cycle(3))
+
+
+def _first_labels(g) -> list[int]:
+    """The first labels that the split hands out as tasks on g, read off
+    a stand-in task that searches nothing."""
+    seen = []
+
+    def record(plan, collect, idx, prefix_labels, cap, full=None):
+        seen.extend(prefix_labels)
+        return solver_mod._TaskResult(0, 0, True, None, {}, 0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "_run_task", record)
+        solver_mod._execute(g, 10**9, 1, True)
+    return seen
+
+
+def _runs_pool(g) -> bool:
+    # more than one thread starts the pool on such a graph
+    return (g.order >= solver_mod._PARALLEL_MIN_ORDER
+            and len(_first_labels(g)) > 1)
 
 
 def brute_extremes(degrees):
@@ -140,9 +164,11 @@ def test_search_statuses():
 
 
 def test_budget_is_deterministic_across_threads():
-    # every graph here has order >= _PARALLEL_MIN_ORDER, so threads > 1 run
-    # the pool; C(3,7) is not SEM and takes 22,789 nodes
-    assert make_two_cycle(3, 7).order >= solver_mod._PARALLEL_MIN_ORDER
+    # every graph here has order >= _PARALLEL_MIN_ORDER and more than one
+    # live first label, so threads > 1 run the pool; C(3,7) is not SEM and
+    # takes 22,789 nodes
+    assert all(map(_runs_pool, (make_two_cycle(3, 7), make_two_cycle(3, 9),
+                                C3_C3_C3)))
     for budget in (17, 400, 9999):
         outs = [
             search_sem(make_two_cycle(3, 7),
@@ -163,7 +189,7 @@ def test_budget_is_deterministic_across_threads():
         assert {o.stats.nodes for o in outs} == {budget}
         assert len({o.witness for o in outs}) == 1
     for budget in (10, 500, 10**9):
-        sets = [sem_set(make_cycle(9), budget=budget, threads=t) for t in (1, 2)]
+        sets = [sem_set(C3_C3_C3, budget=budget, threads=t) for t in (1, 2)]
         assert sets[0].values == sets[1].values
         assert sets[0].complete == sets[1].complete
 
@@ -171,19 +197,17 @@ def test_budget_is_deterministic_across_threads():
 def test_collect_traversal_is_deterministic_under_budget_cut():
     # the pool's collect path cut at, inside and just short of the end of a
     # full enumeration. A cut keeps the valences the cut task reached
-    # within its sequential allowance: C9's first task reaches 24 at node
-    # 2,491 of 9,881 (its other four are empty: the eight followers of
-    # position 0 leave it label 1 alone), and C(4,8)'s third, 160,935 nodes
-    # in, reaches 29 at its node 26,553 of 569,789. sem_set, which stops at
-    # those nodes, is complete from them on, and each partial set is part
-    # of the whole one. test_cli checks the exit codes of `valences` at
-    # C(4,8)'s edge
+    # within its sequential allowance: 3C3's first task reaches 24 at node
+    # 612 of 2,223, and C(4,8)'s third, 160,935 nodes in, reaches 29 at its
+    # node 26,553 of 569,789. sem_set, which stops at those nodes, is
+    # complete from them on, and each partial set is part of the whole one.
+    # test_cli checks the exit codes of `valences` at C(4,8)'s edge
     for g, edge, total, valences, budgets in (
-            (make_cycle(9), 2_491, 9_881, {24},
-             (500, 2_490, 2_491, 5_000, 9_880, 9_881)),
+            (C3_C3_C3, 612, 2_223, {24},
+             (500, 611, 612, 1_500, 2_222, 2_223)),
             (make_two_cycle(4, 8), 187_488, 569_789, {29},
              (500, 187_487, 187_488))):
-        assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+        assert _runs_pool(g)
         whole = set(sem_set(g, threads=1).values)
         for budget in budgets:
             runs = {t: solver_mod._execute(g, budget, t, collect=True)
@@ -430,7 +454,7 @@ def test_memo_credits_cost_no_budget():
     for g, budget, status, nodes, searched in (
             (C34_C4, 27_500, STATUS_NOT_SEM_EXHAUSTED, 27_773, 27_297),
             (C45_C3, 95_000, STATUS_SEM, 96_570, 93_118)):
-        assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+        assert _runs_pool(g)
         for threads in (1, 2):
             out = search_sem(g, SearchConfig(use_obstructions=False,
                                              threads=threads, budget=budget))
@@ -446,7 +470,7 @@ def test_budget_cut_on_a_disconnected_graph_is_deterministic():
     # task 1, whose 88 credits then count; and one short of the 27,297
     # nodes searched in all, past 367 credited
     g = C34_C4
-    assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+    assert _runs_pool(g)
     for budget, status, nodes in (
             (17, STATUS_UNKNOWN_BUDGET_EXCEEDED, 17),
             (5_643, STATUS_UNKNOWN_BUDGET_EXCEEDED, 5_690),
@@ -489,7 +513,7 @@ def test_disconnected_paper_family_is_pinned():
              (3, 4, 11, 6, 10, 1, 5, 7, 2, 8, 9), (29, 30)),
             (C45_C3, STATUS_SEM, 96_570,
              (3, 4, 2, 7, 5, 11, 1, 10, 6, 8, 9), (29, 30))):
-        assert g.order >= solver_mod._PARALLEL_MIN_ORDER
+        assert _runs_pool(g)
         assert solver_mod._make_plan(g).seams
         for threads in (1, 2):
             out = search_sem(g, SearchConfig(use_obstructions=False,
@@ -502,17 +526,19 @@ def test_disconnected_paper_family_is_pinned():
 
 def test_split_counts_each_node_once():
     # the split's count is that of one sequential search of its tree: the
-    # searches pinned at each first label up to (p+1)//2, each one task of
-    # the plan the split searches, add up to it, also on graphs whose edges
-    # all join the first two positions, where the leaf is depth 1
+    # searches pinned at each live first label, up to (p+1)//2 and to p
+    # less position 0's followers, each one task of the plan the split
+    # searches, add up to it, also on graphs whose edges all join the first
+    # two positions, where the leaf is depth 1
     graphs = [g for g in helpers.small_corpus(seed=53, n_random=30, n_cacti=8)
               if g.size]
     assert len(graphs) == 46
     for g in graphs + [C34_C4]:
         split = solver_mod._execute(g, 10**9, 1, True).nodes
         plan = solver_mod._make_plan(g)
+        live = min((g.order + 1) // 2, g.order - plan.follow[0])
         pinned = sum(solver_mod._run_task(plan, True, a - 1, (a,), 10**9).nodes
-                     for a in range(1, (g.order + 1) // 2 + 1))
+                     for a in range(1, live + 1))
         assert split == pinned, g
 
 
@@ -535,14 +561,44 @@ def test_task_split_stays_small_on_a_large_star():
     assert (out.status, out.stats.nodes) == (STATUS_SEM, 1_501)
 
 
+def test_the_split_hands_out_only_live_first_labels():
+    # complement symmetry caps the first label at (p+1)//2, and the lead
+    # rule at p less position 0's followers: C9, C10, K5 and K6, whose
+    # automorphisms move position 0 to every other one, have one task; a
+    # graph with one vertex of largest degree keeps every label to the cap
+    complete = [Graph(k, tuple(itertools.combinations(range(k), 2)))
+                for k in (5, 6)]
+    star = Graph(1501, tuple((0, v) for v in range(1, 1501)))
+    for g, live in ((make_cycle(9), 1), (make_cycle(10), 1),
+                    (complete[0], 1), (complete[1], 1),
+                    (make_two_cycle(3, 9), 6),
+                    (disjoint_union(make_cycle(6), make_two_cycle(3, 4)), 6),
+                    (star, 751)):
+        assert _first_labels(g) == list(range(1, live + 1)), g
+
+
+def test_one_live_first_label_runs_in_process(monkeypatch):
+    # one task needs no pool at any thread count; six do
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a worker pool was started")
+
+    monkeypatch.setattr(solver_mod, "ProcessPoolExecutor", no_pool)
+    out = search_sem(make_cycle(9), SearchConfig(threads=2))
+    assert out.status == STATUS_SEM and out.stats.nodes == 2_491
+    assert sem_set(make_cycle(9), threads=2).values == (24,)
+    with pytest.raises(RuntimeError, match="worker pool"):
+        search_sem(make_two_cycle(3, 9), SearchConfig(threads=2))
+
+
 def test_correctness_checks_survive_optimized_mode():
     # under python -O assert statements vanish; the self-checks must not
     code = textwrap.dedent("""
         import sys
         from fractions import Fraction
+        import semlab.cli as cli
         import semlab.labeling as labeling
         import semlab.solver as solver
-        from semlab import SearchConfig, VerifyResult, make_cycle
+        from semlab import Graph, SearchConfig, VerifyResult, make_cycle
 
         if __debug__:
             sys.exit("not running under python -O")
@@ -554,6 +610,11 @@ def test_correctness_checks_survive_optimized_mode():
                 return
             sys.exit(f"{what}: a failed self-check did not raise")
 
+        # a sweep row whose witness pair does not fill its interval
+        star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+        cli._sweep_graphs = lambda args: [("star", star)]
+        if cli.main(["sweep", "two-cycle-grid", "--threads", "1"]) != 4:
+            sys.exit("sweep: a failed self-check did not exit 4")
         solver.verify_sem = lambda g, cert: VerifyResult(False, "patched")
         expect_raise("search_sem", lambda: solver.search_sem(
             make_cycle(5), SearchConfig(threads=1)))
@@ -674,7 +735,8 @@ def test_twin_rule_keeps_every_answer():
     # on seeded twin-rich graphs, with and without seams: status and
     # valence set are the oracle's, the witness is that of the whole space
     # searched with the rule off, and nodes and witness are the same at
-    # threads 1 and 2 (the pool runs from order 9)
+    # threads 1 and 2 (the pool runs on those of order 9 and more, each with
+    # more than one live first label)
     rng = random.Random(61)
     graphs = [helpers.twin_rich_graph(rng, p_max=9) for _ in range(24)]
     graphs.append(K23_C3_K2)
@@ -691,7 +753,7 @@ def test_twin_rule_keeps_every_answer():
             assert sem_set(g, threads=threads).values == ref.valence_set.values, g
         statuses.append(ref.status)
     assert statuses.count(STATUS_SEM) == 6
-    assert sum(g.order >= solver_mod._PARALLEL_MIN_ORDER for g in graphs) == 8
+    assert sum(map(_runs_pool, graphs)) == 8
 
 
 def test_lead_rule_keeps_every_answer_on_symmetric_graphs():
@@ -744,10 +806,11 @@ def test_symmetry_on_off_same_answers():
 
 
 def test_thread_count_does_not_change_results():
-    # orders 7 and 8 run serially at any thread count; orders 9 and 10 run
-    # the pool, with a witness (C9) and with a full traversal (C(3,7), C10)
+    # orders 7 and 8 run serially at any thread count, and so do C9 and C10,
+    # whose one live first label is one task; 3C3 and C(3,7) run the pool,
+    # with a witness and with a full traversal
     for g in (make_two_cycle(3, 5), make_cycle(8), make_two_cycle(4, 4),
-              make_cycle(9), make_two_cycle(3, 7), make_cycle(10)):
+              make_cycle(9), make_cycle(10), C3_C3_C3, make_two_cycle(3, 7)):
         one = search_sem(g, SearchConfig(use_obstructions=False, threads=1))
         four = search_sem(g, SearchConfig(use_obstructions=False, threads=4))
         assert one.status == four.status
