@@ -9,6 +9,8 @@ budget ran out; bad input exits 3 and an internal failure 4 everywhere.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -293,12 +295,15 @@ def cmd_sweep(args) -> int:
               "interval_lo", "interval_hi", "valence_set", "nodes"]
     if args.timing:
         header.append("millis")
-    lines = [",".join(header)]
+    # a degseq graph name holds commas: the writer quotes that cell
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
     for params, g in rows:
         out = search_sem(g, cfg)
         iv = out.interval
-        lo = "" if (iv is None or iv.empty) else str(iv.lo)
-        hi = "" if (iv is None or iv.empty) else str(iv.hi)
+        lo = "" if (iv is None or iv.empty) else iv.lo
+        hi = "" if (iv is None or iv.empty) else iv.hi
         if out.status in (STATUS_NOT_SEM_EXHAUSTED, STATUS_NOT_SEM_OBSTRUCTION):
             sigma = ""  # proven empty
         elif out.status == STATUS_SEM:
@@ -313,13 +318,13 @@ def cmd_sweep(args) -> int:
             sigma = "|".join(str(v) for v in values)
         else:
             sigma = "skipped"  # the budget ran out
-        row = [args.family, params, str(g.order), str(g.size),
+        row = [args.family, params, g.order, g.size,
                out.obstruction.rule if out.obstruction else "",
-               out.status, lo, hi, sigma, str(out.stats.nodes)]
+               out.status, lo, hi, sigma, out.stats.nodes]
         if args.timing:
-            row.append(str(out.stats.millis))
-        lines.append(",".join(row))
-    return _emit(lines, args.output)
+            row.append(out.stats.millis)
+        writer.writerow(row)
+    return _emit(text.getvalue().splitlines(), args.output)
 
 
 def cmd_render(args) -> int:

@@ -30,30 +30,19 @@ The least witness is a leader, and a leader's first label is the least
 over the orbit of position 0, so a leader or its complement's is within
 the split's cap below: statuses, witnesses and valence sets stay those of
 the full space, and a collect run's labelings count leaders. Swaps of
-isomorphic components are left out: they would put a lead across a seam,
-which the memo's key does not see. A user prefix may pin a follower below
+isomorphic components are left out: leads come only from automorphisms
+that map each component to itself. A user prefix may pin a follower below
 its lead, so under one the rule is off.
 
-A seam is the depth just past the block of a component (any but the last
-block with an edge). No position before it has a neighbor or a follower
-past it, so the subtree below it reads only the labels and edge sums in use,
-and many labelings of the finished components meet in one such key. Equal
-keys mean equal subtrees, so each task keeps a bounded memo of the
-subtrees it searched whole below its seams and credits their nodes and
-labelings on a repeat instead of searching them again. Node counts stay
-exact, and a connected graph has no seam.
-
 Work splits deterministically on the first label: each live one is a
-task, whose seam memo spans its subtree. One executor streams the tasks
-to a worker pool (a pool of one, in this process, when single-threaded)
-and replays their results in prefix order as if they ran strictly
-sequentially, so statuses, valence sets, node counts and witnesses do not
-depend on the worker count. The witness is the lexicographically
-least in assignment order over the space covered. Each node visited counts
-once, pinned ones too, as in one sequential depth-first search of the tree.
-The budget bounds the nodes searched, not those credited, so a budget cut
-falls where that search would have searched more than the budget: it
-bounds the work done, not the count reported.
+task. One executor streams the tasks to a worker pool (a pool of one, in
+this process, when single-threaded) and replays their results in prefix
+order as if they ran strictly sequentially, so statuses, valence sets, node
+counts and witnesses do not depend on the worker count. The witness is the
+lexicographically least in assignment order over the space covered. Each
+node visited counts once, pinned ones too, as in one sequential depth-first
+search of the tree, so a budget cut falls where that search would have
+visited more than the budget.
 """
 
 from __future__ import annotations
@@ -204,9 +193,6 @@ class _Plan:
     earlier: tuple[tuple[int, ...], ...]
     # one past the last position with an edge: every later vertex is isolated
     last: int
-    # the seams: the depths just past each block of a component but the last
-    # one with an edge
-    seams: tuple[int, ...]
     # each position's lead, whose label it must exceed, or p where it has none
     lead: tuple[int, ...]
     # the positions whose chain of leads reaches each position
@@ -320,8 +306,6 @@ def _make_plan(g: Graph) -> _Plan:
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier), last=last,
-        seams=tuple(d for d in itertools.accumulate(map(len, blocks))
-                    if d < last),
         lead=tuple(lead), follow=tuple(follow))
 
 
@@ -330,13 +314,12 @@ class _TaskResult:
     """One subtree's search. A task that stops at its first witness (vertex
     labels by vertex), a full interval or its cap has not ``exhausted`` it."""
 
-    nodes: int  # searched and credited: those a search without memo counts
+    nodes: int
     labelings: int
     exhausted: bool
     witness: tuple[int, ...] | None
-    # valence -> (nodes searched, credited, labelings) where first reached
-    valences: dict[int, tuple[int, int, int]]
-    credited: int  # of the nodes, those taken from the seam memo unsearched
+    # valence -> (nodes, labelings) where first reached
+    valences: dict[int, tuple[int, int]]
 
 
 class _Stop(Exception):
@@ -349,15 +332,6 @@ class _Stop(Exception):
 
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
 
-# entries a task's seam memo holds at most; past it the memo only answers.
-# An entry takes ~240 bytes at order 12 and ~260 at order 20 (tracemalloc,
-# 30,000 entries), so a full memo takes ~8 MB per task. C6 + C(3,4) peaks at
-# 3,361 entries; over the (4, 2, ..., 2) graphs, order 12 peaks at 7,667
-# (C(4,5) + C4) and order 13 at 30,338 (C(4,5) + C5), so from order 14 a
-# task may fill it. The lead rule leaves these peaks as they were: the
-# labelings of a block that an automorphism relates meet in one key
-_MEMO_MAX_ENTRIES = 1 << 15
-
 
 def _pool_init(abort_value):
     global _WORKER_ABORT
@@ -367,8 +341,8 @@ def _pool_init(abort_value):
 def _run_task(plan: _Plan, collect: bool, idx: int,
               prefix_labels: tuple[int, ...], cap: int,
               full: int | None = None) -> _TaskResult:
-    """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes,
-    memo credits aside. Every node visited counts, pinned ones too.
+    """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
+    Every node visited counts, pinned ones too.
     ``collect`` gathers every valence, and stops once they and their duals
     are ``full`` many (the interval's size; None never stops); otherwise the
     task stops at its first witness. ``idx`` is its place in prefix order.
@@ -402,10 +376,8 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     leaf = max(plan.last, start) - 1
     covered = math.factorial(p - 1 - leaf)
     labelings = [0]
-    valences: dict[int, tuple[int, int, int]] = {}
+    valences: dict[int, tuple[int, int]] = {}
     closed: set[int] = set()  # the valences reached and their duals
-    # the search below each depth: rec, or at a seam the memo in front of it
-    descend = []
 
     def stop(nodes, witness=None) -> _Stop:
         # a witness, or valences that fill the interval, end the replay at
@@ -418,7 +390,7 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
             labels_at=labels_at, q1=q1, leaf=leaf, poll=poll,
-            descend=descend, lead=lead, follow=follow,
+            lead=lead, follow=follow,
             islice=itertools.islice) -> int:
         earlier_d = earlier[d]
         # the lead rule: only labels above the lead's, and at a base with f
@@ -460,12 +432,12 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                     used_label[lab] = 1
                     labels_at[d] = lab
                     if d < leaf:
-                        nodes = descend[d + 1](d + 1, new_min, new_max, nodes)
+                        nodes = rec(d + 1, new_min, new_max, nodes)
                     elif collect:
                         labelings[0] += covered
                         k = p + q + new_min
                         if k not in valences:
-                            valences[k] = nodes, credited[0], labelings[0]
+                            valences[k] = nodes, labelings[0]
                             closed.update((k, dual_valence(p, q, k)))
                             if len(closed) == full:
                                 raise stop(nodes)
@@ -479,56 +451,23 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                         used_sum[lab + labels_at[j]] = 0
         return nodes
 
-    # the seam memo (module docstring): cmin and cmax are the least and
-    # greatest sums in use, so the key holds all the subtree reads. An entry
-    # counts a subtree's nodes, searched and credited; a hit searches none,
-    # so it meets no cap, and its valences are in the set already. Keys at
-    # different seams differ in the number of labels in use
-    memo: dict[bytes, tuple[int, int]] = {}
-    credited = [0]
-
-    def seam(d, cmin, cmax, nodes) -> int:
-        # fixed lengths p+2 and 2p+2: the concatenation is exact
-        key = bytes(used_label + used_sum)
-        hit = memo.get(key)
-        if hit is None:
-            before = nodes + credited[0], labelings[0]
-            # a witness or a stop raises past the store
-            nodes = rec(d, cmin, cmax, nodes)
-            if len(memo) < _MEMO_MAX_ENTRIES:
-                memo[key] = nodes + credited[0] - before[0], labelings[0] - before[1]
-            return nodes
-        credited[0] += hit[0]
-        labelings[0] += hit[1]
-        return nodes
-
-    descend += [rec] * (leaf + 1)
-    for d in plan.seams:
-        if start <= d < leaf:
-            descend[d] = seam
     try:
         nodes, witness, exhausted = rec(0, 2 * p + 1, 0, 0), None, True
     except _Stop as stop:
         nodes, witness, exhausted = stop.nodes, stop.witness, False
-    finally:
-        # rec and descend refer to each other, so only the cycle collector
-        # would free the memo: free it now
-        memo.clear()
-    return _TaskResult(nodes + credited[0], labelings[0], exhausted, witness,
-                       valences, credited[0])
+    return _TaskResult(nodes, labelings[0], exhausted, witness, valences)
 
 
 # --- task construction and the in-order streaming executor ----------------
 
 @dataclass
 class _EngineResult:
-    nodes: int = 0  # searched and credited; at a cut, the budget + credited
+    nodes: int = 0  # at a cut, the budget
     labelings: int = 0
     witness: tuple[int, ...] | None = None
     valences: set[int] = field(default_factory=set)
     exceeded: bool = False
-    visited: int = 0  # nodes searched by every task that ran, discarded too
-    credited: int = 0  # of the nodes, those taken from seam memos unsearched
+    visited: int = 0  # nodes visited by every task that ran, discarded too
 
 
 # tasks submitted ahead of the replay per worker; bounds the work discarded
@@ -549,16 +488,15 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
              interval: ValenceInterval | None = None) -> _EngineResult:
     """Run one task per live first label, or the one task that ``prefix``
     (labels in assignment order) pins, at most a window ahead of an in-order
-    replay that applies sequential budget rules to the nodes searched. A
-    task's cap is what the budget leaves after the tasks replayed when it is
-    submitted: never below its sequential allowance, so a task that hits its
-    cap proves a sequential run would run out of budget too. A cut reports
-    the budget plus the credits replayed before it, and keeps the valences
-    the cut task reached within its allowance. Given the ``interval``, a
-    collect run stops at the labeling where the valences, closed under
-    duality, fill it (None enumerates in full). Once the replay stops, the
-    abort value makes the tasks past it quit, the queued ones at their
-    first node."""
+    replay that applies sequential budget rules. A task's cap is what the
+    budget leaves after the tasks replayed when it is submitted: never below
+    its sequential allowance, so a task that hits its cap proves a
+    sequential run would run out of budget too. A cut reports the budget,
+    and keeps the valences the cut task reached within its allowance. Given
+    the ``interval``, a collect run stops at the labeling where the
+    valences, closed under duality, fill it (None enumerates in full). Once
+    the replay stops, the abort value makes the tasks past it quit, the
+    queued ones at their first node."""
     plan = _make_plan(g)
     if prefix is not None:
         # a prefix may pin a lead's followers below it, and () promises
@@ -587,7 +525,7 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
     with pool:
         try:
             while i < n:
-                left = budget - (out.nodes - out.credited)
+                left = budget - out.nodes
                 if nxt < n and len(running) < window and (
                         nxt == i or not running[i].done()):
                     running[nxt] = pool.submit(_run_task, plan, collect, nxt,
@@ -595,28 +533,25 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
                     nxt += 1
                     continue
                 res = running.pop(i).result()
-                searched = res.nodes - res.credited
-                out.visited += searched
-                found = res.witness is not None and searched <= left
-                for k, (at, credited, labelings) in res.valences.items():
+                out.visited += res.nodes
+                found = res.witness is not None and res.nodes <= left
+                for k, (at, labelings) in res.valences.items():
                     if at > left:
                         break
                     out.valences.add(k)
                     closed.update((k, dual_valence(plan.p, plan.q, k)))
                     if len(closed) == full:
                         # S = I: a sequential search stops at this labeling
-                        res = replace(res, nodes=at + credited,
-                                      labelings=labelings, credited=credited)
+                        res = replace(res, nodes=at, labelings=labelings)
                         found = True
                         break
-                if not found and (not res.exhausted or searched > left):
+                if not found and (not res.exhausted or res.nodes > left):
                     # a strictly sequential run would have exhausted the
                     # budget inside this task before covering it
-                    out.nodes, out.exceeded = budget + out.credited, True
+                    out.nodes, out.exceeded = budget, True
                     break
                 out.nodes += res.nodes
                 out.labelings += res.labelings
-                out.credited += res.credited
                 out.witness = res.witness
                 if found:
                     break
@@ -626,8 +561,7 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
             if abort is not None:
                 with abort.get_lock():
                     abort.value = i - 1
-    out.visited += sum(f.result().nodes - f.result().credited
-                       for f in running.values())
+    out.visited += sum(f.result().nodes for f in running.values())
     return out
 
 

@@ -59,7 +59,7 @@ def twin_rich_graph(rng: random.Random, p_min: int = 7,
     """A sparse random graph, grown to order p by clones: each new vertex
     copies the neighbours of an earlier one, so the two are open twins, or
     copies them and joins it, so they are closed twins. From order 8 some
-    are the disjoint union of such a graph and a cycle, so they have seams."""
+    are the disjoint union of such a graph and a cycle."""
     p = rng.randint(p_min, p_max)
     cycle = rng.choice([c for c in (0, 0, 3, 4) if c <= p - 5])
     k = rng.randint(3, p - cycle - 2)  # vertices before the clones

@@ -76,19 +76,6 @@ def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
     assert checked == 164 + 6
 
 
-def test_seam_memo_credits_nothing_on_connected_graphs():
-    # a connected graph has no seam, so its search runs without a memo
-    credited = {True: 0, False: 0}
-    for index, g in atlas_graphs():
-        h = nx.empty_graph(g.order)
-        h.add_edges_from(g.edges)
-        connected = nx.is_connected(h)
-        if connected:
-            assert _make_plan(g).seams == (), index
-        credited[connected] += _execute(g, DEFAULT_BUDGET, 1, False).credited
-    assert credited[True] == 0 and credited[False] > 0
-
-
 def test_split_count_is_that_of_one_sequential_search():
     # the least labeling in assignment order has its first label at most
     # (p+1)//2, or its complement would be less, and it is a lex-leader,

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -407,13 +408,16 @@ def test_sweep_takes_sigma_from_a_filling_witness(capsys, monkeypatch):
 
 
 def test_sweep_degseq_family(capsys):
+    # a degseq graph name holds commas, so its params cell is quoted
     code, out, _ = run(capsys, "sweep", "degseq-4-2", "--order", "6..8",
                        "--threads", "1")
     assert code == 0
-    lines = out.strip().splitlines()[1:]
-    assert len(lines) == 1 + 2 + 3  # orders 6, 7, 8
-    assert any("graph=C(3,3)+C3" in line for line in lines)
-    assert any("graph=C(4,4)" in line for line in lines)
+    header, *rows = csv.reader(out.splitlines())
+    assert len(rows) == 1 + 2 + 3  # orders 6, 7, 8
+    assert all(len(row) == len(header) for row in rows)
+    params = [row[1] for row in rows]
+    assert "order=8;graph=C(3,3)+C3" in params
+    assert "order=7;graph=C(4,4)" in params
 
 
 def test_sweep_three_cycle_series(capsys):

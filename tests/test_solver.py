@@ -54,7 +54,7 @@ def _first_labels(g) -> list[int]:
 
     def record(plan, collect, idx, prefix_labels, cap, full=None):
         seen.extend(prefix_labels)
-        return solver_mod._TaskResult(0, 0, True, None, {}, 0)
+        return solver_mod._TaskResult(0, 0, True, None, {})
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_mod, "_run_task", record)
@@ -256,10 +256,23 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
 
+    class AbortAfterFirstPoll:
+        # passes the poll at node 1, then tells the task to quit
+        polls = 0
+
+        @property
+        def value(self):
+            self.polls += 1
+            return 10**6 if self.polls == 1 else 0
+
+    # a poll passed moves the next one 4,096 nodes on, where the task quits
+    monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
+    res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
+    assert (res.nodes, res.exhausted) == (4_097, False)
+
 
 # C(3,4) + C4, order 10: NOT_SEM after 27,773 nodes. Its two-cycle takes
-# the first six positions, so the search has one seam, at depth 6, where
-# nothing assigned before it has a neighbor after it
+# the first six positions and the cycle the last four
 C34_C4 = disjoint_union(make_two_cycle(3, 4), make_cycle(4))
 C33_C3_C3 = disjoint_union(make_two_cycle(3, 3), make_cycle(3), make_cycle(3))
 C45_C3 = disjoint_union(make_two_cycle(4, 5), make_cycle(3))
@@ -270,24 +283,22 @@ K23_C3_K2 = Graph(10, ((0, 2), (0, 3), (0, 7), (1, 2), (1, 3), (1, 7),
                        (4, 5), (5, 6), (4, 6), (8, 9)))
 
 
-def test_seams_of_the_plan():
-    # components take contiguous blocks, and a seam is the depth past each
-    # block but the last one with an edge
-    for g, order, seams in (
-            (make_two_cycle(3, 9), list(range(11)), ()),
-            (C34_C4, list(range(10)), (6,)),
+def test_components_take_contiguous_blocks_of_the_order():
+    # the assignment order takes one component after another
+    for g, order in (
+            (make_two_cycle(3, 9), list(range(11))),
+            (C34_C4, list(range(10))),
             # C(3,4) holds the vertex of largest degree, so it comes first,
             # and C6 follows it whole
             (disjoint_union(make_cycle(6), make_two_cycle(3, 4)),
-             [6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5], (6,)),
-            (C33_C3_C3, list(range(11)), (5, 8)),
-            (Graph(6, ((0, 1), (2, 3), (4, 5))), list(range(6)), (2, 4)),
-            (Graph(4, ((0, 2), (1, 3))), [0, 2, 1, 3], (2,)),
-            (K23_C3_K2, [0, 1, 2, 3, 7, 4, 5, 6, 8, 9], (5, 8)),
-            # isolated vertices come last and add no seam
-            (Graph(5, ((1, 2), (3, 4))), [1, 2, 3, 4, 0], (2,))):
+             [6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5]),
+            (C33_C3_C3, list(range(11))),
+            (Graph(6, ((0, 1), (2, 3), (4, 5))), list(range(6))),
+            (Graph(4, ((0, 2), (1, 3))), [0, 2, 1, 3]),
+            (K23_C3_K2, [0, 1, 2, 3, 7, 4, 5, 6, 8, 9]),
+            # isolated vertices come last
+            (Graph(5, ((1, 2), (3, 4))), [1, 2, 3, 4, 0])):
         assert assignment_order(g) == order, g
-        assert solver_mod._make_plan(g).seams == seams, g
 
 
 def _twin_classes(g):
@@ -326,10 +337,9 @@ def _lead_chain(plan, y):
 
 
 def test_leads_and_seams_stay_inside_component_blocks():
-    # every component takes one contiguous block of positions, no edge
-    # crosses a seam (the live set there is empty), each lead lies before
-    # its position in the same block, and the chain of leads from each
-    # position passes every earlier twin of it
+    # every component takes one contiguous block of positions, each lead
+    # lies before its position in the same block, and the chain of leads
+    # from each position passes every earlier twin of it
     rng = random.Random(83)
     graphs = [K23_C3_K2, C34_C4, C33_C3_C3, C45_C3,
               disjoint_union(make_cycle(6), make_two_cycle(3, 4)),
@@ -345,9 +355,6 @@ def test_leads_and_seams_stay_inside_component_blocks():
             at = sorted(pos[v] for v in comp)
             assert at == list(range(at[0], at[0] + len(at))), g
             block_of.update((x, i) for x in at)
-        for d in plan.seams:
-            assert not any(min(pos[u], pos[v]) < d <= max(pos[u], pos[v])
-                           for u, v in g.edges), (g, d)
         for y, b in enumerate(plan.lead):
             assert b == g.order or (b < y and block_of[b] == block_of[y]), g
         for c in _twin_classes(g):
@@ -407,104 +414,43 @@ def test_plan_of_a_rigid_cubic_graph_is_cheap():
     assert min(times) < 0.05
 
 
-def test_a_memo_hit_never_stops_a_task(monkeypatch):
-    # task 1 of C(3,4) + C4, first label 2, searches 5,115 nodes and
-    # credits 88 more from its seam memo. Its first hit, 650 nodes in,
-    # credits 5, and its last, 3,347 nodes in, credits 3. The cap bounds
-    # the nodes searched: a credit that takes the count past the cap stops
-    # nothing, and the task stops only at a searched node past its cap, with
-    # and without an abort box
-    plan = solver_mod._make_plan(C34_C4)
-    box = mp.Value("q", 10**6)
-    for abort in (None, box):
-        monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
-        for cap, nodes, credited, exhausted in (
-                (649, 649, 0, False), (650, 655, 5, False),
-                (3_346, 3_431, 85, False),
-                (3_347, 3_435, 88, False),
-                (5_114, 5_202, 88, False),
-                (5_115, 5_203, 88, True),
-                (10**9, 5_203, 88, True)):
-            res = solver_mod._run_task(plan, True, 1, (2,), cap)
-            assert (res.nodes, res.credited, res.exhausted) == (
-                nodes, credited, exhausted), (abort, cap)
-
-    class AbortAfterFirstPoll:
-        # passes the poll at node 1, then tells the task to quit
-        polls = 0
-
-        @property
-        def value(self):
-            self.polls += 1
-            return 10**6 if self.polls == 1 else 0
-
-    # a hit polls nothing: the task quits at the kernel's next poll, node
-    # 4,097, with the 88 nodes credited before it
-    monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
-    res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
-    assert (res.nodes, res.credited, res.exhausted) == (4_185, 88, False)
-
-
-def test_memo_credits_cost_no_budget():
-    # the budget bounds the nodes searched: C(3,4) + C4 searches 27,297 of
-    # its 27,773 nodes, and C(4,5) + C3 93,118 of its 96,570, so a budget
-    # between the two decides it, at threads 1 and 2 alike. (3C3 and
-    # C(3,3) + C3 + C3 credit nothing: no two leaders of a block before a
-    # seam meet in a key)
-    for g, budget, status, nodes, searched in (
-            (C34_C4, 27_500, STATUS_NOT_SEM_EXHAUSTED, 27_773, 27_297),
-            (C45_C3, 95_000, STATUS_SEM, 96_570, 93_118)):
+def test_the_budget_bounds_the_reported_count():
+    # a budget one short of a decided search's node count cuts it at the
+    # budget, and that count decides it, at threads 1 and 2 alike
+    for g, nodes, status in (
+            (C34_C4, 27_773, STATUS_NOT_SEM_EXHAUSTED),
+            (C45_C3, 96_570, STATUS_SEM)):
         assert _runs_pool(g)
         for threads in (1, 2):
-            out = search_sem(g, SearchConfig(use_obstructions=False,
-                                             threads=threads, budget=budget))
-            assert (out.status, out.stats.nodes) == (status, nodes), g
-            engine = solver_mod._execute(g, budget, threads, False)
-            assert engine.nodes - engine.credited == searched
+            for budget, want in ((nodes - 1, STATUS_UNKNOWN_BUDGET_EXCEEDED),
+                                 (nodes, status)):
+                out = search_sem(g, SearchConfig(use_obstructions=False,
+                                                 threads=threads,
+                                                 budget=budget))
+                assert (out.status, out.stats.nodes) == (want, budget), g
 
 
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
-    # a cut reports the budget plus the nodes credited in the tasks replayed
-    # before it. Budgets in the first task; in task 1 (4,993 nodes searched
-    # and 47 credited come before it) at its first and last hits; just past
-    # task 1, whose 88 credits then count; and one short of the 27,297
-    # nodes searched in all, past 367 credited
+    # a cut reports its budget. Budgets in the first task; at the end of
+    # task 0 (5,040 nodes) and inside task 1; at the end of task 1 (10,243
+    # nodes in all); and one short of the 27,773 nodes in all
     g = C34_C4
     assert _runs_pool(g)
-    for budget, status, nodes in (
-            (17, STATUS_UNKNOWN_BUDGET_EXCEEDED, 17),
-            (5_643, STATUS_UNKNOWN_BUDGET_EXCEEDED, 5_690),
-            (8_340, STATUS_UNKNOWN_BUDGET_EXCEEDED, 8_387),
-            (10_108, STATUS_UNKNOWN_BUDGET_EXCEEDED, 10_243),
-            (27_296, STATUS_UNKNOWN_BUDGET_EXCEEDED, 27_663),
-            (27_297, STATUS_NOT_SEM_EXHAUSTED, 27_773)):
+    for budget in (17, 5_040, 8_340, 10_243, 27_772):
         outs = [search_sem(g, SearchConfig(use_obstructions=False, threads=t,
                                            budget=budget)) for t in (1, 2, 4)]
-        assert {(o.status, o.stats.nodes) for o in outs} == {(status, nodes)}
+        assert {(o.status, o.stats.nodes) for o in outs} == {
+            (STATUS_UNKNOWN_BUDGET_EXCEEDED, budget)}
         runs = [solver_mod._execute(g, budget, t, collect=True)
                 for t in (1, 2, 4)]
-        assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
-                     e.exceeded, e.credited) for e in runs}) == 1
-
-
-def test_a_full_seam_memo_changes_nothing(monkeypatch):
-    # past its bound the memo stops storing but keeps answering
-    graphs = (C34_C4, C45_C3)
-    want = [[solver_mod._execute(g, 10**9, 1, collect) for g in graphs]
-            for collect in (False, True)]
-    monkeypatch.setattr(solver_mod, "_MEMO_MAX_ENTRIES", 1)
-    for collect, runs in zip((False, True), want):
-        for g, ref in zip(graphs, runs):
-            got = solver_mod._execute(g, 10**9, 1, collect)
-            assert (got.nodes, got.labelings, got.witness, got.valences) == (
-                ref.nodes, ref.labelings, ref.witness, ref.valences)
-            assert 0 < got.credited < ref.credited
+        assert {(e.nodes, e.labelings, tuple(e.valences), e.exceeded)
+                for e in runs} == {(budget, 0, (), True)}
 
 
 def test_disconnected_paper_family_is_pinned():
     # (4, 2, ..., 2) graphs that are a two-cycle plus cycles, with the
     # obstructions off: status, nodes, witness and valence set at threads 1
-    # and 2. C(3,3) + C3 + C3 has two seams
+    # and 2. C(3,3) + C3 + C3 has three components
     for g, status, nodes, witness, valences in (
             (disjoint_union(make_two_cycle(3, 3), make_cycle(4)),
              STATUS_NOT_SEM_EXHAUSTED, 3_097, None, ()),
@@ -514,7 +460,6 @@ def test_disconnected_paper_family_is_pinned():
             (C45_C3, STATUS_SEM, 96_570,
              (3, 4, 2, 7, 5, 11, 1, 10, 6, 8, 9), (29, 30))):
         assert _runs_pool(g)
-        assert solver_mod._make_plan(g).seams
         for threads in (1, 2):
             out = search_sem(g, SearchConfig(use_obstructions=False,
                                              threads=threads))
@@ -732,7 +677,7 @@ def test_cycles_are_sem_iff_odd():
 
 
 def test_twin_rule_keeps_every_answer():
-    # on seeded twin-rich graphs, with and without seams: status and
+    # on seeded twin-rich graphs, connected or not: status and
     # valence set are the oracle's, the witness is that of the whole space
     # searched with the rule off, and nodes and witness are the same at
     # threads 1 and 2 (the pool runs on those of order 9 and more, each with
