@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-import traceback
 
 from .graphs import (
     CactusSpec,
@@ -77,11 +76,12 @@ def _add_search_args(sub: argparse.ArgumentParser) -> None:
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
-        return range(int(lo), int(lo) + 1)
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError as exc:
         raise CliError(f"bad range {text!r}, expected A or A..B") from exc
+    if not values:
+        raise CliError(f"empty range {text!r}: A..B needs A <= B")
+    return values
 
 
 def _gen_graph(args) -> Graph:
@@ -280,6 +280,9 @@ def _sweep_graphs(args):
                 yield check(f"m={m};n={n}", m + n - 1), make_two_cycle(m, n)
     elif args.family == "three-cycle-series":
         for k in _parse_range(args.k):
+            if k < 2:
+                raise CliError(f"three-cycle-series needs k >= 2: k={k} makes "
+                               f"C(3,{4 * k - 3}), and cycle lengths must be >= 3")
             yield check(f"k={k}", 4 * k - 1), make_two_cycle(3, 4 * k - 3)
     elif args.family == "degseq-4-2":
         for order in _parse_range(args.order):
@@ -459,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except Exception as exc:  # exit 1 would read as NOT_SEM
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # only here: its import slows every start-up
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -35,10 +35,11 @@ that map each component to itself. A user prefix may pin a follower below
 its lead, so under one the rule is off.
 
 Work splits deterministically on the first label: each live one is a
-task. One executor streams the tasks to a worker pool (a pool of one, in
-this process, when single-threaded) and replays their results in prefix
-order as if they ran strictly sequentially, so statuses, valence sets, node
-counts and witnesses do not depend on the worker count. The witness is the
+task. One executor runs the tasks in this process until the nodes visited
+pass a threshold, then on a worker pool too, and replays their results in
+prefix order as if they ran strictly sequentially, so statuses, valence
+sets, node counts and witnesses depend neither on the worker count nor on
+where the pool starts. The witness is the
 lexicographically least in assignment order over the space covered. Each
 node visited counts once, pinned ones too, as in one sequential depth-first
 search of the tree, so a budget cut falls where that search would have
@@ -49,13 +50,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing as mp
 import os
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterable
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 from .graphs import Graph
@@ -71,14 +70,10 @@ STATUS_TRIVIAL_EDGELESS = "TRIVIAL_EDGELESS"
 
 DEFAULT_BUDGET = 10**9
 
-# below this order a worker pool costs more than the whole search. Medians
-# of 5 runs, 1 thread against 2, on a 2-vCPU VM: order-7 solves of C(3,5)
-# and C(4,4) take 2.1-2.3 and 1.5-1.6 ms against 19-23 and 17-18 ms;
-# full order-8 sem_set traversals (timed before S = I stopped them) take
-# 14-16 ms against 27-39 ms, about the pool's start-up cost; order-9 ones
-# break even (56-68 ms against 51-98 ms), and order-10 ones gain (222-240
-# ms against 128-155 ms).
-_PARALLEL_MIN_ORDER = 9
+# nodes visited in this process before a search starts a worker pool:
+# 0.2-0.3 s of one core, more than most of the paper's searches take,
+# while a pool costs ~15 ms to start and ~18 ms of imports (2-vCPU VM)
+_INLINE_NODES = 1 << 19
 
 # frames left to the kernel's callers on top of its one per depth: the
 # interpreter's default recursion limit
@@ -339,20 +334,23 @@ def _pool_init(abort_value):
 
 
 def _run_task(plan: _Plan, collect: bool, idx: int,
-              prefix_labels: tuple[int, ...], cap: int,
-              full: int | None = None) -> _TaskResult:
+              prefix_labels: tuple[int, ...], cap: int, full: int | None = None,
+              handoff: tuple[int, Callable] | None = None) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
     Every node visited counts, pinned ones too.
     ``collect`` gathers every valence, and stops once they and their duals
     are ``full`` many (the interval's size; None never stops); otherwise the
     task stops at its first witness. ``idx`` is its place in prefix order.
+    ``handoff``, (at, call) in this process, calls ``call()`` once past node
+    ``at`` to start the worker pool, and the task goes on.
 
     The search recurses once per depth, so the task raises the recursion
-    limit, which is process-wide, to fit p frames above its callers'. It
-    never lowers it."""
+    limit, which is process-wide, to fit p frames above its callers', and p
+    more: a worker forked at the hand-off starts as deep as this process
+    was. It never lowers it."""
     p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
     lead, follow = plan.lead, plan.follow
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), p + _CALLER_FRAMES))
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * p + _CALLER_FRAMES))
     # the edge sums must fit a window of width q-1. A graph with more than
     # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
     # edge placed ends its branch
@@ -363,9 +361,10 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     labels_at = [0] * (p + 1)  # labels_at[p], "no lead", stays 0
 
     abort_box = _WORKER_ABORT
-    # one test per node serves the cap and, in a pool worker, the abort poll
-    # at every 4096th node: poll[0] is whichever of the two comes first
-    poll = [cap if abort_box is None else min(cap, 0)]
+    at, fan_out = handoff or (cap, None)
+    # one test per node serves the cap and either a pool worker's abort poll
+    # at every 4096th node or the hand-off here: poll[0] is the first due
+    poll = [min(cap, 0 if abort_box is not None else at)]
     # pinned depths try only their label, the others one shared tuple (a
     # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
@@ -409,9 +408,15 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
             if nodes > poll[0]:
                 # stop past the cap, or in a pool worker once the abort
                 # value is below this task's index; else move the poll on
-                if nodes > cap or abort_box.value < idx:
-                    raise _Stop(min(nodes, cap))
-                poll[0] = min(cap, nodes + 4095)
+                if nodes > cap:
+                    raise _Stop(cap)
+                if abort_box is None:  # the hand-off: start the pool
+                    fan_out()
+                    poll[0] = cap
+                elif abort_box.value < idx:
+                    raise _Stop(nodes)
+                else:
+                    poll[0] = min(cap, nodes + 4095)
             # the new sums differ as the earlier labels do, which stay put
             # while this depth is live: test them all, then mark them
             new_min, new_max = cmin, cmax
@@ -474,29 +479,34 @@ class _EngineResult:
 _WINDOW_PER_WORKER = 2
 
 
-class _InlinePool(Executor):
-    """A pool of one worker: runs each task in this process when submitted."""
+class _Here:
+    """A task run in this process, as a future: done once it returns."""
 
-    def submit(self, fn, /, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    res: _TaskResult | None = None
+
+    def done(self) -> bool:
+        return self.res is not None
+
+    def result(self) -> _TaskResult:
+        return self.res
 
 
 def _execute(g: Graph, budget: int, threads: int, collect: bool,
              prefix: tuple[int, ...] | None = None,
              interval: ValenceInterval | None = None) -> _EngineResult:
     """Run one task per live first label, or the one task that ``prefix``
-    (labels in assignment order) pins, at most a window ahead of an in-order
-    replay that applies sequential budget rules. A task's cap is what the
-    budget leaves after the tasks replayed when it is submitted: never below
-    its sequential allowance, so a task that hits its cap proves a
-    sequential run would run out of budget too. A cut reports the budget,
-    and keeps the valences the cut task reached within its allowance. Given
-    the ``interval``, a collect run stops at the labeling where the
-    valences, closed under duality, fill it (None enumerates in full). Once
-    the replay stops, the abort value makes the tasks past it quit, the
-    queued ones at their first node."""
+    (labels in assignment order) pins, ahead of an in-order replay that applies
+    sequential budget rules: in this process, one at a time, until the nodes
+    visited pass _INLINE_NODES. There, given threads and tasks left, the
+    running task starts a pool, which takes the later tasks at most a window
+    ahead, and finishes here. A task's cap is what the budget leaves after the
+    tasks replayed when it is submitted: never below its sequential allowance,
+    so a task that hits its cap proves a sequential run would run out of budget
+    too. A cut reports the budget, and keeps the valences the cut task reached
+    within its allowance. Given the ``interval``, a collect run stops at the
+    labeling where the valences, closed under duality, fill it (None enumerates
+    in full). Once the replay stops, the abort value makes the tasks past it
+    quit, the queued ones at their first node."""
     plan = _make_plan(g)
     if prefix is not None:
         # a prefix may pin a lead's followers below it, and () promises
@@ -513,54 +523,72 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
              if prefix is None else [prefix])
     out = _EngineResult()
     n = len(tasks)
-    if threads > 1 and n > 1 and plan.p >= _PARALLEL_MIN_ORDER:
-        window = _WINDOW_PER_WORKER * min(threads, n)
-        abort = mp.Value("q", n)  # tasks with a larger index quit
-        pool = ProcessPoolExecutor(max_workers=min(threads, n),
-                                   initializer=_pool_init, initargs=(abort,))
-    else:
-        window, abort, pool = 1, None, _InlinePool()
-    running: dict[int, Future] = {}  # submitted, not yet replayed
+    window, abort, pool = 1, None, None
+    running: dict = {}  # submitted, not yet replayed: futures and _Here
     i = nxt = 0
-    with pool:
-        try:
-            while i < n:
-                left = budget - out.nodes
-                if nxt < n and len(running) < window and (
-                        nxt == i or not running[i].done()):
-                    running[nxt] = pool.submit(_run_task, plan, collect, nxt,
-                                               tasks[nxt], left, full)
-                    nxt += 1
-                    continue
-                res = running.pop(i).result()
-                out.visited += res.nodes
-                found = res.witness is not None and res.nodes <= left
-                for k, (at, labelings) in res.valences.items():
-                    if at > left:
-                        break
-                    out.valences.add(k)
-                    closed.update((k, dual_valence(plan.p, plan.q, k)))
-                    if len(closed) == full:
-                        # S = I: a sequential search stops at this labeling
-                        res = replace(res, nodes=at, labelings=labelings)
-                        found = True
-                        break
-                if not found and (not res.exhausted or res.nodes > left):
-                    # a strictly sequential run would have exhausted the
-                    # budget inside this task before covering it
-                    out.nodes, out.exceeded = budget, True
+
+    def fill():
+        # submit while the window has room and the replay waits for task i
+        nonlocal nxt
+        while nxt < n and len(running) < window and (
+                nxt == i or not running[i].done()):
+            k, nxt = nxt, nxt + 1
+            args = plan, collect, k, tasks[k], budget - out.nodes, full
+            if pool is not None:
+                running[k] = pool.submit(_run_task, *args)
+            else:
+                running[k] = here = _Here()
+                here.res = _run_task(*args, (_INLINE_NODES - out.visited, fan_out)
+                                     if threads > 1 and nxt < n else None)
+
+    def fan_out():
+        # task i, running here, passed the threshold: start the pool. Till
+        # task i returns, this process is busy too: one task per thread
+        nonlocal window, abort, pool
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+        workers = min(threads, n - nxt)
+        abort = mp.Value("q", n)  # tasks with a larger index quit
+        pool = ProcessPoolExecutor(workers, initializer=_pool_init,
+                                   initargs=(abort,))
+        window = threads
+        fill()
+        window = _WINDOW_PER_WORKER * workers
+
+    try:
+        while i < n:
+            fill()
+            res = running.pop(i).result()
+            left = budget - out.nodes
+            out.visited += res.nodes
+            found = res.witness is not None and res.nodes <= left
+            for k, (at, labelings) in res.valences.items():
+                if at > left:
                     break
-                out.nodes += res.nodes
-                out.labelings += res.labelings
-                out.witness = res.witness
-                if found:
+                out.valences.add(k)
+                closed.update((k, dual_valence(plan.p, plan.q, k)))
+                if len(closed) == full:
+                    # S = I: a sequential search stops at this labeling
+                    res = replace(res, nodes=at, labelings=labelings)
+                    found = True
                     break
-                i += 1
-        finally:
-            # no task left unreplayed is needed: those still running quit
-            if abort is not None:
-                with abort.get_lock():
-                    abort.value = i - 1
+            if not found and (not res.exhausted or res.nodes > left):
+                # a strictly sequential run would have exhausted the
+                # budget inside this task before covering it
+                out.nodes, out.exceeded = budget, True
+                break
+            out.nodes += res.nodes
+            out.labelings += res.labelings
+            out.witness = res.witness
+            if found:
+                break
+            i += 1
+    finally:
+        # no task left unreplayed is needed: those still running quit
+        if pool is not None:
+            with abort.get_lock():
+                abort.value = i - 1
+            pool.shutdown()
     out.visited += sum(f.result().nodes for f in running.values())
     return out
 

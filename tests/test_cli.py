@@ -109,6 +109,26 @@ def test_cli_leaves_numpy_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_imports_the_pool_only_to_start_it():
+    # C(3,9) ends at node 188,220, below _INLINE_NODES: at two threads it
+    # runs in this process and leaves the pool's modules unimported. A
+    # threshold of 0 starts the pool at its first node, and imports them
+    pool = ["concurrent.futures", "multiprocessing"]
+    code = ("import sys, semlab.cli, semlab.solver\n"
+            "semlab.solver._INLINE_NODES = int(sys.argv[1])\n"
+            "semlab.cli.main(['solve', '--gen', 'two-cycle', '3', '9',"
+            " '--threads', '2'])\n"
+            f"print(sorted(set({pool}) & set(sys.modules)))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for at, imported in ((solver_mod._INLINE_NODES, []), (0, pool)):
+        proc = subprocess.run([sys.executable, "-c", code, str(at)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "status: SEM" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == str(imported), at
+
+
 def test_perfect_json_traverses_once(capsys, monkeypatch):
     calls = []
 
@@ -168,11 +188,17 @@ def _no_search(*args, **kwargs):
 _TEST_PID = os.getpid()
 
 
-def _exit_at_once(*args):
-    # only a pool worker may die here: run in this process, the task fails
-    if os.getpid() == _TEST_PID:
-        raise RuntimeError("the task ran in the test process, not the pool")
-    os._exit(1)
+_RUN_TASK = solver_mod._run_task
+
+
+def _exit_at_once(plan, collect, idx, *rest):
+    # a pool worker dies at once. Only the first task may run in this
+    # process: at its first node it starts the pool
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    if idx:
+        raise RuntimeError("a later task ran in the test process, not the pool")
+    return _RUN_TASK(plan, collect, idx, *rest)
 
 
 def test_solve_unwritable_cert_out_exits_3(tmp_path, capsys, monkeypatch):
@@ -206,11 +232,11 @@ def test_internal_failure_exits_4(capsys, monkeypatch):
 
 
 def test_dead_worker_exits_4(capsys, monkeypatch):
-    # a pool worker that dies breaks the pool (order 11, six live first
-    # labels and two threads start one; an obstruction decides nothing
-    # here); the forked workers inherit the patched task
+    # a pool worker that dies breaks the pool (six live first labels, two
+    # threads and a threshold of 0 nodes start one; an obstruction decides
+    # nothing here); the forked workers inherit the patched task
     monkeypatch.setattr(solver_mod, "_run_task", _exit_at_once)
-    assert solver_mod._PARALLEL_MIN_ORDER <= 11
+    monkeypatch.setattr(solver_mod, "_INLINE_NODES", 0)
     code, out, err = run(capsys, "solve", "--gen", "two-cycle", "3", "9",
                          "--threads", "2")
     assert (code, out) == (4, "")
@@ -433,6 +459,26 @@ def test_sweep_three_cycle_series(capsys):
     # k = 1 would make C(3,1): the graph builder rejects it
     code, _, err = run(capsys, "sweep", "three-cycle-series", "--k", "1..1")
     assert code == 3 and "cycle lengths must be >= 3" in err
+
+
+def test_sweep_rejects_k_below_2_by_name(capsys):
+    # k = 0 would make C(3,-3), and the graph builder would name (3, -3)
+    # rather than k; no row is searched
+    code, out, err = run(capsys, "sweep", "three-cycle-series", "--k", "0..1",
+                         "--threads", "1")
+    assert (code, out) == (3, "")
+    assert "three-cycle-series needs k >= 2: k=0 makes C(3,-3)" in err
+
+
+def test_sweep_rejects_an_empty_range(capsys):
+    # 5..3 holds no value: not a header alone and exit 0
+    for argv in (["two-cycle-grid", "--m", "5..3"],
+                 ["two-cycle-grid", "--n", "4..3"],
+                 ["degseq-4-2", "--order", "9..6"],
+                 ["three-cycle-series", "--k", "4..3"]):
+        code, out, err = run(capsys, "sweep", *argv, "--threads", "1")
+        assert (code, out) == (3, ""), argv
+        assert "empty range" in err, argv
 
 
 def test_sweep_budget_unknown_rows(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import multiprocessing as mp
@@ -8,6 +9,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,7 +54,8 @@ def _first_labels(g) -> list[int]:
     a stand-in task that searches nothing."""
     seen = []
 
-    def record(plan, collect, idx, prefix_labels, cap, full=None):
+    def record(plan, collect, idx, prefix_labels, cap, full=None,
+               handoff=None):
         seen.extend(prefix_labels)
         return solver_mod._TaskResult(0, 0, True, None, {})
 
@@ -63,9 +66,16 @@ def _first_labels(g) -> list[int]:
 
 
 def _runs_pool(g) -> bool:
-    # more than one thread starts the pool on such a graph
-    return (g.order >= solver_mod._PARALLEL_MIN_ORDER
-            and len(_first_labels(g)) > 1)
+    # under pool_at_first_node more than one thread starts the pool on such
+    # a graph
+    return len(_first_labels(g)) > 1
+
+
+@pytest.fixture
+def pool_at_first_node(monkeypatch):
+    """Start the worker pool at a search's first node, not once the nodes
+    visited pass _INLINE_NODES, which the searches here never reach."""
+    monkeypatch.setattr(solver_mod, "_INLINE_NODES", 0)
 
 
 def brute_extremes(degrees):
@@ -163,10 +173,10 @@ def test_search_statuses():
     assert out.stats.nodes == 5
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_budget_is_deterministic_across_threads():
-    # every graph here has order >= _PARALLEL_MIN_ORDER and more than one
-    # live first label, so threads > 1 run the pool; C(3,7) is not SEM and
-    # takes 22,789 nodes
+    # every graph here has more than one live first label, so threads > 1
+    # run the pool; C(3,7) is not SEM and takes 22,789 nodes
     assert all(map(_runs_pool, (make_two_cycle(3, 7), make_two_cycle(3, 9),
                                 C3_C3_C3)))
     for budget in (17, 400, 9999):
@@ -194,6 +204,7 @@ def test_budget_is_deterministic_across_threads():
         assert sets[0].complete == sets[1].complete
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_collect_traversal_is_deterministic_under_budget_cut():
     # the pool's collect path cut at, inside and just short of the end of a
     # full enumeration. A cut keeps the valences the cut task reached
@@ -224,6 +235,7 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
             assert set(vs.values) <= whole
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_parallel_work_is_bounded_by_budget():
     # C(3,13) takes 397,588,338 nodes, so without lowered caps and a stop at
     # the cut each of its 8 tasks, one per first label, could visit the whole
@@ -414,6 +426,7 @@ def test_plan_of_a_rigid_cubic_graph_is_cheap():
     assert min(times) < 0.05
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_the_budget_bounds_the_reported_count():
     # a budget one short of a decided search's node count cuts it at the
     # budget, and that count decides it, at threads 1 and 2 alike
@@ -430,6 +443,7 @@ def test_the_budget_bounds_the_reported_count():
                 assert (out.status, out.stats.nodes) == (want, budget), g
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_budget_cut_on_a_disconnected_graph_is_deterministic():
     # a cut reports its budget. Budgets in the first task; at the end of
     # task 0 (5,040 nodes) and inside task 1; at the end of task 1 (10,243
@@ -447,6 +461,7 @@ def test_budget_cut_on_a_disconnected_graph_is_deterministic():
                 for e in runs} == {(budget, 0, (), True)}
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_disconnected_paper_family_is_pinned():
     # (4, 2, ..., 2) graphs that are a two-cycle plus cycles, with the
     # obstructions off: status, nodes, witness and valence set at threads 1
@@ -522,17 +537,79 @@ def test_the_split_hands_out_only_live_first_labels():
         assert _first_labels(g) == list(range(1, live + 1)), g
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_one_live_first_label_runs_in_process(monkeypatch):
     # one task needs no pool at any thread count; six do
     def no_pool(*args, **kwargs):
         raise RuntimeError("a worker pool was started")
 
-    monkeypatch.setattr(solver_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     out = search_sem(make_cycle(9), SearchConfig(threads=2))
     assert out.status == STATUS_SEM and out.stats.nodes == 2_491
     assert sem_set(make_cycle(9), threads=2).values == (24,)
     with pytest.raises(RuntimeError, match="worker pool"):
         search_sem(make_two_cycle(3, 9), SearchConfig(threads=2))
+
+
+# C6 + C(3,4), order 12: NOT_SEM after 352,960 nodes in six tasks
+C6_C34 = disjoint_union(make_cycle(6), make_two_cycle(3, 4))
+
+
+def test_pool_started_inside_a_task_changes_no_result(monkeypatch):
+    # at thresholds of 1, 1,000 and 100,000 nodes the pool starts inside
+    # the first or the second task, which finishes in this process; the
+    # results at threads 2 and 4 are serial's. The first two tasks take
+    # 75,456 and 80,675 nodes on C(3,9), 48,504 and 51,067 on C6 + C(3,4),
+    # 798 and 601 of 2,223 on 3C3's full traversal, and 75,626 and 85,309
+    # on C(4,8)'s collect run, whose interval fills at node 187,488
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    c48 = make_two_cycle(4, 8)
+    runs = [(make_two_cycle(3, 9), False, 10**9, None),
+            (C6_C34, False, 10**9, None), (C3_C3_C3, True, 10**9, None)]
+    runs += [(c48, True, budget, sem_interval(c48))
+             for budget in (187_487, 187_488, 10**9)]
+    for g, collect, budget, interval in runs:
+        serial = solver_mod._execute(g, budget, 1, collect, interval=interval)
+        for at in (1, 1_000, 100_000):
+            monkeypatch.setattr(solver_mod, "_INLINE_NODES", at)
+            for threads in (2, 4):
+                del started[:]
+                engine = solver_mod._execute(g, budget, threads, collect,
+                                             interval=interval)
+                # 3C3's 2,223 nodes stay below 100,000
+                assert len(started) == (g is not C3_C3_C3 or at < 2_223)
+                assert replace(engine, visited=0) == replace(serial, visited=0), (
+                    g, budget, at, threads)
+                if g is C6_C34:
+                    # an exhausted search replays every task it ran, and
+                    # each node visited counts once: none ran twice
+                    assert engine.visited == engine.nodes == 352_960
+
+
+def test_a_pool_started_deep_in_a_search_fits_its_workers_stacks():
+    # the hand-off may fork the workers deep in the recursion, and a worker
+    # starts as deep as this process was: on K(1,1500) the first task
+    # starts the pool 1,400 frames deep, and a worker's task, center label
+    # 2, recurses 1,500 frames more
+    star = Graph(1501, tuple((0, v) for v in range(1, 1501)))
+    plan = solver_mod._make_plan(star)
+    nodes = []
+
+    def start_pool():
+        with concurrent.futures.ProcessPoolExecutor(1) as pool:
+            nodes.append(pool.submit(solver_mod._run_task, plan, False, 1,
+                                     (2,), 10**6).result().nodes)
+
+    res = solver_mod._run_task(plan, False, 0, (1,), 10**6, None,
+                               (1_400, start_pool))
+    assert (res.nodes, res.witness is not None, nodes) == (1_501, True, [1_501])
 
 
 def test_correctness_checks_survive_optimized_mode():
@@ -676,12 +753,13 @@ def test_cycles_are_sem_iff_odd():
             assert verify_sem(out.graph, out.witness), n
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_twin_rule_keeps_every_answer():
     # on seeded twin-rich graphs, connected or not: status and
     # valence set are the oracle's, the witness is that of the whole space
     # searched with the rule off, and nodes and witness are the same at
-    # threads 1 and 2 (the pool runs on those of order 9 and more, each with
-    # more than one live first label)
+    # threads 1 and 2 (the pool runs on those with more than one live first
+    # label)
     rng = random.Random(61)
     graphs = [helpers.twin_rich_graph(rng, p_max=9) for _ in range(24)]
     graphs.append(K23_C3_K2)
@@ -698,9 +776,10 @@ def test_twin_rule_keeps_every_answer():
             assert sem_set(g, threads=threads).values == ref.valence_set.values, g
         statuses.append(ref.status)
     assert statuses.count(STATUS_SEM) == 6
-    assert sum(map(_runs_pool, graphs)) == 8
+    assert sum(map(_runs_pool, graphs)) == len(graphs) == 25
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_lead_rule_keeps_every_answer_on_symmetric_graphs():
     # cycles, two disjoint cycles and vertex-transitive graphs, where the
     # lead rule cuts most: status and valence set are the oracle's, the
@@ -750,10 +829,11 @@ def test_symmetry_on_off_same_answers():
                 assert verify_sem(g, out.witness)
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_thread_count_does_not_change_results():
-    # orders 7 and 8 run serially at any thread count, and so do C9 and C10,
-    # whose one live first label is one task; 3C3 and C(3,7) run the pool,
-    # with a witness and with a full traversal
+    # C9 and C10, whose one live first label is one task, run serially at
+    # any thread count; the others run the pool, 3C3 with a witness and
+    # C(3,7) with a full traversal
     for g in (make_two_cycle(3, 5), make_cycle(8), make_two_cycle(4, 4),
               make_cycle(9), make_cycle(10), C3_C3_C3, make_two_cycle(3, 7)):
         one = search_sem(g, SearchConfig(use_obstructions=False, threads=1))
@@ -833,6 +913,7 @@ def test_restricted_search_matches_restricted_oracle():
             assert got.witness.vertex_labels[order[1]] == labs[1]
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_node_counts_are_pinned():
     # exact counts and witnesses; node counts are deterministic, so any
     # change to the kernel's pruning, assignment step or task split shows here
