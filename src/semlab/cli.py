@@ -9,6 +9,7 @@ budget ran out; bad input exits 3 and an internal failure 4 everywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -70,7 +71,7 @@ def _add_search_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="node budget (default 1e9)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker count (default: all cores)")
+                     help="worker count (default: all usable CPUs)")
 
 
 def _parse_range(text: str) -> range:
@@ -215,11 +216,16 @@ def cmd_solve(args) -> int:
     return _EXIT_BY_STATUS[out.status]
 
 
+def _edgeless(args, keys: tuple[str, ...]) -> int:
+    """An edgeless graph: with --json, the command's keys, each null."""
+    print(json.dumps(dict.fromkeys(keys)) if args.json else _EDGELESS_NOTE)
+    return EXIT_SEM
+
+
 def cmd_interval(args) -> int:
     g = load_graph(args)
     if g.size == 0:
-        print(_EDGELESS_NOTE)
-        return EXIT_SEM
+        return _edgeless(args, ("interval", "min", "max"))
     iv = sem_interval(g)
     if args.json:
         print(json.dumps({"interval": iv.to_json(),
@@ -235,8 +241,7 @@ def cmd_valences(args) -> int:
     g = load_graph(args)
     cfg = _config(args)
     if g.size == 0:
-        print(_EDGELESS_NOTE)
-        return EXIT_SEM
+        return _edgeless(args, ("valence_set", "complete"))
     vs = sem_set(g, cfg.budget, cfg.threads)
     if args.json:
         print(json.dumps({"valence_set": vs.to_json(), "complete": vs.complete}))
@@ -251,8 +256,7 @@ def cmd_perfect(args) -> int:
     g = load_graph(args)
     cfg = _config(args)
     if g.size == 0:
-        print(_EDGELESS_NOTE)
-        return EXIT_SEM
+        return _edgeless(args, ("classification", "interval", "valence_set"))
     iv = sem_interval(g)
     vs = sem_set(g, cfg.budget, cfg.threads)
     verdict = perfect_classification(iv, vs)
@@ -456,7 +460,18 @@ def main(argv: list[str] | None = None) -> int:
             _write(path, "", "a")
             if made:
                 os.remove(path)
-        return args.func(args)
+        # stdout goes out once the command returns, so that a stdout that is
+        # full or closed is told apart from a failure inside the command
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = args.func(args)
+        try:
+            sys.stdout.write(text.getvalue())
+            sys.stdout.flush()
+        except OSError as exc:
+            # what the buffer holds would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliError(f"cannot write stdout: {exc}") from exc
+        return code
     except (CliError, GraphError, LabelingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

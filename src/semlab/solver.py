@@ -29,7 +29,7 @@ and one out of reach only weakens the rule.
 The least witness is a leader, and a leader's first label is the least
 over the orbit of position 0, so a leader or its complement's is within
 the split's cap below: statuses, witnesses and valence sets stay those of
-the full space, and a collect run's labelings count leaders. Swaps of
+the full space, and an enumeration's labelings count leaders. Swaps of
 isomorphic components are left out: leads come only from automorphisms
 that map each component to itself. A user prefix may pin a follower below
 its lead, so under one the rule is off.
@@ -39,11 +39,13 @@ task. One executor runs the tasks in this process until the nodes visited
 pass a threshold, then on a worker pool too, and replays their results in
 prefix order as if they ran strictly sequentially, so statuses, valence
 sets, node counts and witnesses depend neither on the worker count nor on
-where the pool starts. The witness is the
-lexicographically least in assignment order over the space covered. Each
-node visited counts once, pinned ones too, as in one sequential depth-first
-search of the tree, so a budget cut falls where that search would have
-visited more than the budget.
+where the pool starts. A search stops at the first labeling where the
+valences found, closed under duality, are enough: one for a witness, the
+interval's size for the valence set. The witness is the lexicographically
+least in assignment order over the space covered. Each node visited counts
+once, pinned ones too, as in one sequential depth-first search of the
+tree, so a budget cut falls where that search would have visited more
+than the budget.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class SearchStats:
 class SearchConfig:
     use_obstructions: bool = True
     budget: int = DEFAULT_BUDGET
-    threads: int | None = None  # None = all available cores
+    threads: int | None = None  # None = all CPUs this process may run on
 
     def __post_init__(self):
         if self.budget < 1:
@@ -112,7 +114,9 @@ class SearchConfig:
             raise ValueError("threads must be >= 1")
 
     def resolved_threads(self) -> int:
-        return self.threads if self.threads is not None else (os.cpu_count() or 1)
+        # os.cpu_count() counts CPUs that an affinity mask may bar
+        affinity = getattr(os, "sched_getaffinity", None)
+        return self.threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -306,23 +310,19 @@ def _make_plan(g: Graph) -> _Plan:
 
 @dataclass(frozen=True)
 class _TaskResult:
-    """One subtree's search. A task that stops at its first witness (vertex
-    labels by vertex), a full interval or its cap has not ``exhausted`` it."""
+    """One subtree's search. A task that stops once its valences suffice, or
+    at its cap, has not ``exhausted`` it."""
 
     nodes: int
     labelings: int
     exhausted: bool
-    witness: tuple[int, ...] | None
-    # valence -> (nodes, labelings) where first reached
-    valences: dict[int, tuple[int, int]]
+    # valence -> (nodes, labelings, vertex labels by vertex) where first reached
+    valences: dict[int, tuple[int, int, tuple[int, ...]]]
 
 
 class _Stop(Exception):
-    """A task stops before covering its subtree: at its first witness, at
-    its node cap or when told to abort. Carries the nodes searched."""
-
-    def __init__(self, nodes: int, witness: tuple[int, ...] | None = None):
-        self.nodes, self.witness = nodes, witness
+    """A task stops before covering its subtree: once its valences suffice,
+    at its node cap or when told to abort. Carries the nodes searched."""
 
 
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
@@ -333,14 +333,14 @@ def _pool_init(abort_value):
     _WORKER_ABORT = abort_value
 
 
-def _run_task(plan: _Plan, collect: bool, idx: int,
-              prefix_labels: tuple[int, ...], cap: int, full: int | None = None,
+def _run_task(plan: _Plan, full: float, idx: int,
+              prefix_labels: tuple[int, ...], cap: int,
               handoff: tuple[int, Callable] | None = None) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
-    Every node visited counts, pinned ones too.
-    ``collect`` gathers every valence, and stops once they and their duals
-    are ``full`` many (the interval's size; None never stops); otherwise the
-    task stops at its first witness. ``idx`` is its place in prefix order.
+    Every node visited counts, pinned ones too. The task records the leaf
+    where it first reaches each valence, and stops at the one where its
+    valences and their duals number ``full``: 1 stops at the first witness,
+    math.inf never. ``idx`` is its place in prefix order.
     ``handoff``, (at, call) in this process, calls ``call()`` once past node
     ``at`` to start the worker pool, and the task goes on.
 
@@ -375,16 +375,8 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
     leaf = max(plan.last, start) - 1
     covered = math.factorial(p - 1 - leaf)
     labelings = [0]
-    valences: dict[int, tuple[int, int]] = {}
+    valences: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     closed: set[int] = set()  # the valences reached and their duals
-
-    def stop(nodes, witness=None) -> _Stop:
-        # a witness, or valences that fill the interval, end the replay at
-        # this task or before it: tell the tasks past it to quit
-        if abort_box is not None:
-            with abort_box.get_lock():
-                abort_box.value = min(abort_box.value, idx)
-        return _Stop(nodes, witness)
 
     def rec(d, cmin, cmax, nodes,
             earlier=earlier, used_label=used_label, used_sum=used_sum,
@@ -438,29 +430,32 @@ def _run_task(plan: _Plan, collect: bool, idx: int,
                     labels_at[d] = lab
                     if d < leaf:
                         nodes = rec(d + 1, new_min, new_max, nodes)
-                    elif collect:
+                    else:
                         labelings[0] += covered
                         k = p + q + new_min
                         if k not in valences:
-                            valences[k] = nodes, labelings[0]
+                            labeling = labels_at[:d + 1] + [
+                                x for x in range(1, p + 1) if not used_label[x]]
+                            valences[k] = nodes, labelings[0], tuple(
+                                labeling[pos[v]] for v in range(p))
                             closed.update((k, dual_valence(p, q, k)))
-                            if len(closed) == full:
-                                raise stop(nodes)
-                    else:
-                        labeling = labels_at[:d + 1] + [
-                            x for x in range(1, p + 1) if not used_label[x]]
-                        labelings[0] = 1
-                        raise stop(nodes, tuple(labeling[pos[v]] for v in range(p)))
+                            if len(closed) >= full:
+                                # the replay stops at this task or before
+                                # it: tell the tasks past it to quit
+                                if abort_box is not None:
+                                    with abort_box.get_lock():
+                                        abort_box.value = min(abort_box.value, idx)
+                                raise _Stop(nodes)
                     used_label[lab] = 0
                     for j in earlier_d:
                         used_sum[lab + labels_at[j]] = 0
         return nodes
 
     try:
-        nodes, witness, exhausted = rec(0, 2 * p + 1, 0, 0), None, True
+        nodes, exhausted = rec(0, 2 * p + 1, 0, 0), True
     except _Stop as stop:
-        nodes, witness, exhausted = stop.nodes, stop.witness, False
-    return _TaskResult(nodes, labelings[0], exhausted, witness, valences)
+        nodes, exhausted = stop.args[0], False
+    return _TaskResult(nodes, labelings[0], exhausted, valences)
 
 
 # --- task construction and the in-order streaming executor ----------------
@@ -479,40 +474,27 @@ class _EngineResult:
 _WINDOW_PER_WORKER = 2
 
 
-class _Here:
-    """A task run in this process, as a future: done once it returns."""
-
-    res: _TaskResult | None = None
-
-    def done(self) -> bool:
-        return self.res is not None
-
-    def result(self) -> _TaskResult:
-        return self.res
-
-
-def _execute(g: Graph, budget: int, threads: int, collect: bool,
-             prefix: tuple[int, ...] | None = None,
-             interval: ValenceInterval | None = None) -> _EngineResult:
+def _execute(g: Graph, budget: int, threads: int, full: float,
+             prefix: tuple[int, ...] | None = None) -> _EngineResult:
     """Run one task per live first label, or the one task that ``prefix``
     (labels in assignment order) pins, ahead of an in-order replay that applies
     sequential budget rules: in this process, one at a time, until the nodes
     visited pass _INLINE_NODES. There, given threads and tasks left, the
     running task starts a pool, which takes the later tasks at most a window
     ahead, and finishes here. A task's cap is what the budget leaves after the
-    tasks replayed when it is submitted: never below its sequential allowance,
-    so a task that hits its cap proves a sequential run would run out of budget
+    tasks replayed when it starts: never below its sequential allowance, so a
+    task that hits its cap proves a sequential run would run out of budget
     too. A cut reports the budget, and keeps the valences the cut task reached
-    within its allowance. Given the ``interval``, a collect run stops at the
-    labeling where the valences, closed under duality, fill it (None enumerates
-    in full). Once the replay stops, the abort value makes the tasks past it
-    quit, the queued ones at their first node."""
+    within its allowance. The replay stops at the labeling where the valences,
+    closed under duality, number ``full``, and reports it as the witness: 1
+    stops at the first witness, the interval's size once the valences fill
+    it, math.inf never. Once the replay stops, the abort value makes the
+    tasks past it quit, the queued ones at their first node."""
     plan = _make_plan(g)
     if prefix is not None:
         # a prefix may pin a lead's followers below it, and () promises
         # every bijection: the lead rule is off
         plan = replace(plan, lead=(plan.p,) * plan.p, follow=(0,) * plan.p)
-    full = None if interval is None else len(interval.values())
     closed: set[int] = set()  # the valences replayed and their duals
     # complement symmetry: f and p+1-f give consecutive edge sums together,
     # so first labels up to (p+1)//2 meet every labeling or its complement.
@@ -523,23 +505,18 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
              if prefix is None else [prefix])
     out = _EngineResult()
     n = len(tasks)
-    window, abort, pool = 1, None, None
-    running: dict = {}  # submitted, not yet replayed: futures and _Here
+    window, abort, pool = 0, None, None
+    running: dict = {}  # submitted to the pool, not yet replayed
     i = nxt = 0
 
     def fill():
         # submit while the window has room and the replay waits for task i
         nonlocal nxt
         while nxt < n and len(running) < window and (
-                nxt == i or not running[i].done()):
-            k, nxt = nxt, nxt + 1
-            args = plan, collect, k, tasks[k], budget - out.nodes, full
-            if pool is not None:
-                running[k] = pool.submit(_run_task, *args)
-            else:
-                running[k] = here = _Here()
-                here.res = _run_task(*args, (_INLINE_NODES - out.visited, fan_out)
-                                     if threads > 1 and nxt < n else None)
+                i not in running or not running[i].done()):
+            running[nxt] = pool.submit(_run_task, plan, full, nxt, tasks[nxt],
+                                       budget - out.nodes)
+            nxt += 1
 
     def fan_out():
         # task i, running here, passed the threshold: start the pool. Till
@@ -551,26 +528,32 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
         abort = mp.Value("q", n)  # tasks with a larger index quit
         pool = ProcessPoolExecutor(workers, initializer=_pool_init,
                                    initargs=(abort,))
-        window = threads
+        window = threads - 1
         fill()
         window = _WINDOW_PER_WORKER * workers
 
     try:
         while i < n:
-            fill()
-            res = running.pop(i).result()
+            if pool is None:
+                nxt = i + 1
+                res = _run_task(plan, full, i, tasks[i], budget - out.nodes,
+                                (_INLINE_NODES - out.visited, fan_out)
+                                if threads > 1 and nxt < n else None)
+            else:
+                fill()
+                res = running.pop(i).result()
             left = budget - out.nodes
             out.visited += res.nodes
-            found = res.witness is not None and res.nodes <= left
-            for k, (at, labelings) in res.valences.items():
+            found = False
+            for k, (at, labelings, witness) in res.valences.items():
                 if at > left:
                     break
                 out.valences.add(k)
                 closed.update((k, dual_valence(plan.p, plan.q, k)))
-                if len(closed) == full:
-                    # S = I: a sequential search stops at this labeling
+                if len(closed) >= full:
+                    # a sequential search stops at this labeling
                     res = replace(res, nodes=at, labelings=labelings)
-                    found = True
+                    out.witness, found = witness, True
                     break
             if not found and (not res.exhausted or res.nodes > left):
                 # a strictly sequential run would have exhausted the
@@ -579,7 +562,6 @@ def _execute(g: Graph, budget: int, threads: int, collect: bool,
                 break
             out.nodes += res.nodes
             out.labelings += res.labelings
-            out.witness = res.witness
             if found:
                 break
             i += 1
@@ -620,11 +602,11 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
     q = g.size
     norm = None if prefix is None else _normalize_prefix(g, prefix)
 
-    def outcome(status, witness=None, obstruction=None, engine=None):
+    def outcome(status, witness=None, obstruction=None, nodes=0):
         millis = round((time.perf_counter() - start) * 1000.0, 3)
-        engine = engine or _EngineResult()
         interval = sem_interval(g) if q else None
-        stats = SearchStats(engine.nodes, engine.labelings, millis)
+        # a witness counts as one labeling, not as the fills of its leaf
+        stats = SearchStats(nodes, int(witness is not None), millis)
         return SearchOutcome(g, status, witness, obstruction, interval, None,
                              stats, cfg, norm)
 
@@ -635,7 +617,7 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
         if verdict is not None:
             return outcome(STATUS_NOT_SEM_OBSTRUCTION, obstruction=verdict)
 
-    engine = _execute(g, cfg.budget, cfg.resolved_threads(), False,
+    engine = _execute(g, cfg.budget, cfg.resolved_threads(), 1,
                       None if norm is None else tuple(lab for _, lab in norm))
 
     if engine.witness is not None:
@@ -643,10 +625,10 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
         check = verify_sem(g, cert)
         if not check:
             raise AssertionError(f"witness fails verification: {check.reason}")
-        return outcome(STATUS_SEM, witness=cert, engine=engine)
+        return outcome(STATUS_SEM, witness=cert, nodes=engine.nodes)
     if engine.exceeded:
-        return outcome(STATUS_UNKNOWN_BUDGET_EXCEEDED, engine=engine)
-    return outcome(STATUS_NOT_SEM_EXHAUSTED, engine=engine)
+        return outcome(STATUS_UNKNOWN_BUDGET_EXCEEDED, nodes=engine.nodes)
+    return outcome(STATUS_NOT_SEM_EXHAUSTED, nodes=engine.nodes)
 
 
 def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
@@ -667,7 +649,7 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     interval = sem_interval(g)
     if interval.empty:
         return ValenceSet((), True)
-    engine = _execute(g, budget, threads, True, interval=interval)
+    engine = _execute(g, budget, threads, len(interval.values()))
     values = set(engine.valences)
     values.update(dual_valence(p, q, k) for k in engine.valences)
     if not values <= set(interval.values()):
@@ -749,7 +731,9 @@ def oracle_search(g: Graph, *,
         return outcome(STATUS_TRIVIAL_EDGELESS)
 
     free_labels = sorted(set(range(1, p + 1)) - set(fixed.values()))
-    base = np.zeros(p, dtype=np.int16)
+    # int16 is the faster where it holds the valences, up to p + q + 2p - 1
+    dtype = np.int16 if 3 * p + q < 2**15 else np.int64
+    base = np.zeros(p, dtype=dtype)
     for v, lab in fixed.items():
         base[v] = lab
     us = np.array([u for u, _ in g.edges], dtype=np.intp)
@@ -765,7 +749,7 @@ def oracle_search(g: Graph, *,
             break
         rows = np.tile(base, (len(block), 1))
         if free_vertices:
-            rows[:, free_vertices] = np.asarray(block, dtype=np.int16)
+            rows[:, free_vertices] = np.asarray(block, dtype=dtype)
         sums = rows[:, us] + rows[:, vs]
         # one edge: diff has no columns and all() is True, as it should be
         mask = (np.diff(np.sort(sums, axis=1), axis=1) == 1).all(axis=1)

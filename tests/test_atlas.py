@@ -1,6 +1,8 @@
 """Correctness floor: every graph of the networkx atlas (all graphs on at
 most 7 vertices, up to isomorphism) against the brute-force oracle."""
 
+import math
+
 import networkx as nx
 
 from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, make_two_cycle,
@@ -18,7 +20,7 @@ def atlas_graphs():
 
 
 def test_search_sem_set_and_obstructions_agree_with_oracle():
-    checked = nodes = labelings = collect_nodes = 0
+    checked = nodes = labelings = enumerated = 0
     saturated = [0, 0]  # graphs with a non-empty interval, and their nodes
     for index, g in atlas_graphs():
         ref = oracle_search(g)
@@ -30,26 +32,26 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
         checked += 1
         nodes += out.stats.nodes
         labelings += out.stats.labelings
-        collect_nodes += _execute(g, DEFAULT_BUDGET, 1, collect=True).nodes
+        enumerated += _execute(g, DEFAULT_BUDGET, 1, math.inf).nodes
         interval = sem_interval(g)
         if not interval.empty:
             saturated[0] += 1
-            saturated[1] += _execute(g, DEFAULT_BUDGET, 1, True,
-                                     interval=interval).nodes
+            saturated[1] += _execute(g, DEFAULT_BUDGET, 1,
+                                     len(interval.values())).nodes
     assert checked == 1_245
     # node counts are deterministic: any change to the kernel's pruning or
     # task split shows here. 729 of these graphs have a vertex with three or
     # more neighbours assigned before it
     assert (nodes, labelings) == (352_148, 624)
-    # full enumeration of the lex-leaders, and the collect runs of sem_set,
+    # full enumeration of the lex-leaders, and the runs of sem_set,
     # which stop once the valences found and their duals fill the interval
-    assert collect_nodes == 931_242
+    assert enumerated == 931_242
     assert saturated == [1_215, 593_548]
 
 
 def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
     # an interval of one or two values is one dual pair, so the first
-    # labeling fills it: the saturated collect run counts the nodes of the
+    # labeling fills it: sem_set's run counts the nodes of the
     # search for a witness, and sem_set is the closure of a full
     # enumeration. Order 9 and above runs the pool at 2 threads
     graphs = [g for _, g in atlas_graphs()]
@@ -65,11 +67,11 @@ def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
             continue
         lo, hi = interval.lo, interval.hi
         assert dual_valence(g.order, g.size, lo) == hi, g
-        full = _execute(g, DEFAULT_BUDGET, 2, True).valences
+        full = _execute(g, DEFAULT_BUDGET, 2, math.inf).valences
         closure = {dual_valence(g.order, g.size, k) for k in full} | full
         for threads in (1, 2):
-            engine = _execute(g, DEFAULT_BUDGET, threads, True,
-                              interval=interval)
+            engine = _execute(g, DEFAULT_BUDGET, threads,
+                              len(interval.values()))
             assert (engine.nodes, engine.exceeded) == (out.stats.nodes, False), g
             assert sem_set(g, threads=threads).values == tuple(sorted(closure))
         checked += 1
@@ -90,9 +92,11 @@ def test_split_count_is_that_of_one_sequential_search():
     for g in graphs:
         split = search_sem(g, SEQ)
         if split.status == STATUS_SEM:
-            whole = _run_task(_make_plan(g), False, 0, (), DEFAULT_BUDGET)
-            assert (whole.nodes, whole.witness) == (
-                split.stats.nodes, split.witness.vertex_labels), g
+            whole = _run_task(_make_plan(g), 1, 0, (), DEFAULT_BUDGET)
+            [(at, _, witness)] = whole.valences.values()
+            assert (whole.nodes, at, witness) == (
+                split.stats.nodes, split.stats.nodes,
+                split.witness.vertex_labels), g
             assert search_sem(g, SEQ, prefix=()).witness == split.witness, g
             checked += 1
     assert checked == 626

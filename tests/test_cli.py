@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -191,14 +192,14 @@ _TEST_PID = os.getpid()
 _RUN_TASK = solver_mod._run_task
 
 
-def _exit_at_once(plan, collect, idx, *rest):
+def _exit_at_once(plan, full, idx, *rest):
     # a pool worker dies at once. Only the first task may run in this
     # process: at its first node it starts the pool
     if os.getpid() != _TEST_PID:
         os._exit(1)
     if idx:
         raise RuntimeError("a later task ran in the test process, not the pool")
-    return _RUN_TASK(plan, collect, idx, *rest)
+    return _RUN_TASK(plan, full, idx, *rest)
 
 
 def test_solve_unwritable_cert_out_exits_3(tmp_path, capsys, monkeypatch):
@@ -241,6 +242,35 @@ def test_dead_worker_exits_4(capsys, monkeypatch):
                          "--threads", "2")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal: BrokenProcessPool: ")
+
+
+def test_unwritable_stdout_exits_3():
+    # a full or a closed stdout is an output that cannot be written, with
+    # stdout buffered or not: one line on stderr, and no traceback
+    code = "import sys, semlab.cli; sys.exit(semlab.cli.main(sys.argv[1:]))"
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    sinks = ["closed pipe"] + ["/dev/full"] * os.path.exists("/dev/full")
+    for unbuffered, sink, argv in itertools.product(
+            ({}, {"PYTHONUNBUFFERED": "1"}), sinks,
+            (["solve", "--gen", "cycle", "5", "--threads", "1"],
+             ["sweep", "two-cycle-grid", "--threads", "1"])):
+        if sink == "closed pipe":
+            read, out = os.pipe()
+            os.close(read)
+        else:
+            out = os.open(sink, os.O_WRONLY)
+        try:
+            proc = subprocess.run([sys.executable, "-c", code, *argv],
+                                  env={**env, **unbuffered}, stdout=out,
+                                  stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        finally:
+            os.close(out)
+        assert proc.returncode == 3, (sink, argv, proc.stderr)
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_graph_inputs(tmp_path, capsys):
@@ -377,6 +407,11 @@ def test_interval_edgeless(tmp_path, capsys):
     for cmd in ("interval", "valences", "perfect"):
         code, out, _ = run(capsys, cmd, str(path))
         assert code == 0 and "trivially super edge-magic" in out
+        # the keys of a graph with edges, each undefined
+        _, edged, _ = run(capsys, cmd, "--gen", "cycle", "5", "--json")
+        code, out, _ = run(capsys, cmd, str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == dict.fromkeys(json.loads(edged))
 
 
 def test_sweep_grid(capsys):

@@ -57,7 +57,7 @@ def test_degseq_4_2_disconnected_order12_exhausts():
     assert out.stats.nodes == 352_960
     # the same at 1, 2 and 4 threads
     for threads in (1, 2, 4):
-        engine = _execute(g, DEFAULT_BUDGET, threads, collect=False)
+        engine = _execute(g, DEFAULT_BUDGET, threads, 1)
         assert (engine.nodes, engine.witness, engine.exceeded) == (
             352_960, None, False)
 

@@ -54,14 +54,13 @@ def _first_labels(g) -> list[int]:
     a stand-in task that searches nothing."""
     seen = []
 
-    def record(plan, collect, idx, prefix_labels, cap, full=None,
-               handoff=None):
+    def record(plan, full, idx, prefix_labels, cap, handoff=None):
         seen.extend(prefix_labels)
-        return solver_mod._TaskResult(0, 0, True, None, {})
+        return solver_mod._TaskResult(0, 0, True, {})
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_mod, "_run_task", record)
-        solver_mod._execute(g, 10**9, 1, True)
+        solver_mod._execute(g, 10**9, 1, math.inf)
     return seen
 
 
@@ -206,8 +205,8 @@ def test_budget_is_deterministic_across_threads():
 
 @pytest.mark.usefixtures("pool_at_first_node")
 def test_collect_traversal_is_deterministic_under_budget_cut():
-    # the pool's collect path cut at, inside and just short of the end of a
-    # full enumeration. A cut keeps the valences the cut task reached
+    # a full enumeration on the pool cut at, inside and just short of its
+    # end. A cut keeps the valences the cut task reached
     # within its sequential allowance: 3C3's first task reaches 24 at node
     # 612 of 2,223, and C(4,8)'s third, 160,935 nodes in, reaches 29 at its
     # node 26,553 of 569,789. sem_set, which stops at those nodes, is
@@ -221,7 +220,7 @@ def test_collect_traversal_is_deterministic_under_budget_cut():
         assert _runs_pool(g)
         whole = set(sem_set(g, threads=1).values)
         for budget in budgets:
-            runs = {t: solver_mod._execute(g, budget, t, collect=True)
+            runs = {t: solver_mod._execute(g, budget, t, math.inf)
                     for t in (1, 2, 4)}
             assert len({(e.nodes, e.labelings, tuple(sorted(e.valences)),
                          e.exceeded) for e in runs.values()}) == 1
@@ -244,7 +243,7 @@ def test_parallel_work_is_bounded_by_budget():
     g = make_two_cycle(3, 13)
     window = solver_mod._WINDOW_PER_WORKER * 2
     assert (g.order + 1) // 2 == 8 > window + 1
-    engine = solver_mod._execute(g, budget, 2, collect=False)
+    engine = solver_mod._execute(g, budget, 2, 1)
     assert engine.exceeded and engine.nodes == budget
     assert budget <= engine.visited <= (window + 1) * budget
 
@@ -259,13 +258,13 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
     for abort in (None, box):
         monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
         for cap in (4095, 4096, 4097, 8192):
-            res = solver_mod._run_task(plan, True, 1, (2,), cap)
+            res = solver_mod._run_task(plan, math.inf, 1, (2,), cap)
             assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
-        res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
+        res = solver_mod._run_task(plan, math.inf, 1, (2,), 10**9)
         assert (res.nodes, res.exhausted) == (80_675, True)
     # a task whose index lies past the abort value quits at its first poll
     box.value = 0
-    res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
+    res = solver_mod._run_task(plan, math.inf, 1, (2,), 10**9)
     assert (res.nodes, res.exhausted) == (1, False)
 
     class AbortAfterFirstPoll:
@@ -279,7 +278,7 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
 
     # a poll passed moves the next one 4,096 nodes on, where the task quits
     monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
-    res = solver_mod._run_task(plan, True, 1, (2,), 10**9)
+    res = solver_mod._run_task(plan, math.inf, 1, (2,), 10**9)
     assert (res.nodes, res.exhausted) == (4_097, False)
 
 
@@ -455,7 +454,7 @@ def test_budget_cut_on_a_disconnected_graph_is_deterministic():
                                            budget=budget)) for t in (1, 2, 4)]
         assert {(o.status, o.stats.nodes) for o in outs} == {
             (STATUS_UNKNOWN_BUDGET_EXCEEDED, budget)}
-        runs = [solver_mod._execute(g, budget, t, collect=True)
+        runs = [solver_mod._execute(g, budget, t, math.inf)
                 for t in (1, 2, 4)]
         assert {(e.nodes, e.labelings, tuple(e.valences), e.exceeded)
                 for e in runs} == {(budget, 0, (), True)}
@@ -494,10 +493,10 @@ def test_split_counts_each_node_once():
               if g.size]
     assert len(graphs) == 46
     for g in graphs + [C34_C4]:
-        split = solver_mod._execute(g, 10**9, 1, True).nodes
+        split = solver_mod._execute(g, 10**9, 1, math.inf).nodes
         plan = solver_mod._make_plan(g)
         live = min((g.order + 1) // 2, g.order - plan.follow[0])
-        pinned = sum(solver_mod._run_task(plan, True, a - 1, (a,), 10**9).nodes
+        pinned = sum(solver_mod._run_task(plan, math.inf, a - 1, (a,), 10**9).nodes
                      for a in range(1, live + 1))
         assert split == pinned, g
 
@@ -561,7 +560,7 @@ def test_pool_started_inside_a_task_changes_no_result(monkeypatch):
     # results at threads 2 and 4 are serial's. The first two tasks take
     # 75,456 and 80,675 nodes on C(3,9), 48,504 and 51,067 on C6 + C(3,4),
     # 798 and 601 of 2,223 on 3C3's full traversal, and 75,626 and 85,309
-    # on C(4,8)'s collect run, whose interval fills at node 187,488
+    # on C(4,8)'s valence-set run, whose interval fills at node 187,488
     started = []
 
     class Pool(concurrent.futures.ProcessPoolExecutor):
@@ -571,18 +570,17 @@ def test_pool_started_inside_a_task_changes_no_result(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     c48 = make_two_cycle(4, 8)
-    runs = [(make_two_cycle(3, 9), False, 10**9, None),
-            (C6_C34, False, 10**9, None), (C3_C3_C3, True, 10**9, None)]
-    runs += [(c48, True, budget, sem_interval(c48))
+    runs = [(make_two_cycle(3, 9), 1, 10**9), (C6_C34, 1, 10**9),
+            (C3_C3_C3, math.inf, 10**9)]
+    runs += [(c48, len(sem_interval(c48).values()), budget)
              for budget in (187_487, 187_488, 10**9)]
-    for g, collect, budget, interval in runs:
-        serial = solver_mod._execute(g, budget, 1, collect, interval=interval)
+    for g, full, budget in runs:
+        serial = solver_mod._execute(g, budget, 1, full)
         for at in (1, 1_000, 100_000):
             monkeypatch.setattr(solver_mod, "_INLINE_NODES", at)
             for threads in (2, 4):
                 del started[:]
-                engine = solver_mod._execute(g, budget, threads, collect,
-                                             interval=interval)
+                engine = solver_mod._execute(g, budget, threads, full)
                 # 3C3's 2,223 nodes stay below 100,000
                 assert len(started) == (g is not C3_C3_C3 or at < 2_223)
                 assert replace(engine, visited=0) == replace(serial, visited=0), (
@@ -604,12 +602,13 @@ def test_a_pool_started_deep_in_a_search_fits_its_workers_stacks():
 
     def start_pool():
         with concurrent.futures.ProcessPoolExecutor(1) as pool:
-            nodes.append(pool.submit(solver_mod._run_task, plan, False, 1,
+            nodes.append(pool.submit(solver_mod._run_task, plan, 1, 1,
                                      (2,), 10**6).result().nodes)
 
-    res = solver_mod._run_task(plan, False, 0, (1,), 10**6, None,
-                               (1_400, start_pool))
-    assert (res.nodes, res.witness is not None, nodes) == (1_501, True, [1_501])
+    res = solver_mod._run_task(plan, 1, 0, (1,), 10**6, (1_400, start_pool))
+    # the task stops at its first witness
+    assert (res.nodes, res.exhausted, len(res.valences), nodes) == (
+        1_501, False, 1, [1_501])
 
 
 def test_correctness_checks_survive_optimized_mode():
@@ -720,6 +719,15 @@ def test_oracle_rejects_large_free_space():
     assert out.stats.labelings == math.factorial(10)
 
 
+def test_oracle_holds_valences_past_int16():
+    # K(1,16384) with its centre labelled p and vertices 1-4 free: every
+    # labeling of a star is one, and its valences pass 2^15
+    p = 16_385
+    star = Graph(p, tuple((0, v) for v in range(1, p)))
+    out = oracle_search(star, prefix=[(0, p)] + [(v, v) for v in range(5, p)])
+    assert out.status == STATUS_SEM and verify_sem(star, out.witness)
+
+
 def test_oracle_prefix_validation():
     g = make_cycle(5)
     with pytest.raises(ValueError):
@@ -804,16 +812,16 @@ def test_lead_rule_keeps_every_answer_on_symmetric_graphs():
         whole = search_sem(g, SEQ, prefix=())
         assert whole.status == status, g
         assert sem_set(g, threads=1).values == values, g
-        outs, collects = set(), set()
+        outs, sets = set(), set()
         for threads in (1, 2, 4):
             out = search_sem(g, SearchConfig(use_obstructions=False,
                                              threads=threads))
             outs.add((out.status, out.stats.nodes, out.witness))
-            engine = solver_mod._execute(g, 10**9, threads, True,
-                                         interval=sem_interval(g))
-            collects.add((engine.nodes, tuple(sorted(engine.valences))))
+            engine = solver_mod._execute(g, 10**9, threads,
+                                         len(sem_interval(g).values()))
+            sets.add((engine.nodes, tuple(sorted(engine.valences))))
         assert outs == {(status, out.stats.nodes, whole.witness)}, g
-        assert len(collects) == 1, g
+        assert len(sets) == 1, g
 
 
 def test_symmetry_on_off_same_answers():
@@ -830,6 +838,16 @@ def test_symmetry_on_off_same_answers():
 
 
 @pytest.mark.usefixtures("pool_at_first_node")
+def test_default_threads_are_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert SearchConfig().resolved_threads() == 1
+    assert SearchConfig(threads=3).resolved_threads() == 3
+    # a platform without affinity masks counts its CPUs
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert SearchConfig().resolved_threads() == 3
+
+
 def test_thread_count_does_not_change_results():
     # C9 and C10, whose one live first label is one task, run serially at
     # any thread count; the others run the pool, 3C3 with a witness and
@@ -892,7 +910,7 @@ def test_every_extendable_labeling_is_reached():
                 (None, [perm for perm in brute
                         if perm[order[0]] <= (g.order + 1) // 2
                         and leads(perm)])):
-            engine = solver_mod._execute(g, 10**9, 1, True, prefix)
+            engine = solver_mod._execute(g, 10**9, 1, math.inf, prefix)
             assert engine.labelings == len(space), f"coverage differs on {g}"
             want = sorted({g.order + g.size + min(edge_sums(g, perm))
                            for perm in space})
