@@ -337,10 +337,10 @@ def _run_task(plan: _Plan, full: float, idx: int,
               prefix_labels: tuple[int, ...], cap: int,
               handoff: tuple[int, Callable] | None = None) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
-    Every node visited counts, pinned ones too. The task records the leaf
-    where it first reaches each valence, and stops at the one where its
-    valences and their duals number ``full``: 1 stops at the first witness,
-    math.inf never. ``idx`` is its place in prefix order.
+    Every node visited counts, pinned ones too. The task records where it
+    first reaches each valence, with that leaf's labeling, and stops at the
+    leaf where its valences and their duals number ``full``: 1 stops at the
+    first witness, math.inf never. ``idx`` is its place in prefix order.
     ``handoff``, (at, call) in this process, calls ``call()`` once past node
     ``at`` to start the worker pool, and the task goes on.
 
