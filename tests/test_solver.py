@@ -837,7 +837,6 @@ def test_symmetry_on_off_same_answers():
                 assert verify_sem(g, out.witness)
 
 
-@pytest.mark.usefixtures("pool_at_first_node")
 def test_default_threads_are_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert SearchConfig().resolved_threads() == 1
@@ -848,6 +847,7 @@ def test_default_threads_are_the_cpus_this_process_may_run_on(monkeypatch):
     assert SearchConfig().resolved_threads() == 3
 
 
+@pytest.mark.usefixtures("pool_at_first_node")
 def test_thread_count_does_not_change_results():
     # C9 and C10, whose one live first label is one task, run serially at
     # any thread count; the others run the pool, 3C3 with a witness and
