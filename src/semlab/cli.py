@@ -108,10 +108,11 @@ def _gen_graph(args) -> Graph:
         else:
             attachments = []
             for item in args.attach:
-                c, sep, pos = item.partition(":")
-                if not sep or not c.lstrip("-").isdigit() or not pos.lstrip("-").isdigit():
-                    raise CliError(f"bad attachment {item!r}, expected C:P")
-                attachments.append((int(c), int(pos)))
+                c, _, pos = item.partition(":")
+                try:
+                    attachments.append((int(c), int(pos)))
+                except ValueError as exc:
+                    raise CliError(f"bad attachment {item!r}, expected C:P") from exc
             attachments = tuple(attachments)
         return make_cactus(CactusSpec(tuple(nums), attachments))
     raise CliError(f"unknown generator family {family!r}")
@@ -377,14 +378,8 @@ def _emit(lines: list[str], path: str | None) -> int:
     return EXIT_SEM
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 3; 2 means budget exceeded
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="semlab",
         description="Decide super edge-magicness of small graphs, with "
                     "machine-checkable certificates.")
@@ -449,21 +444,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # every output path is checked before any work: appending nothing
-        # changes no content, and a file made here is removed again
-        for path in filter(None, (vars(args).get("cert_out"),
-                                  vars(args).get("output"))):
-            made = not os.path.lexists(path)
-            _write(path, "", "a")
-            if made:
-                os.remove(path)
-        # stdout goes out once the command returns, so that a stdout that is
-        # full or closed is told apart from a failure inside the command
+        # stdout, argparse's help too, goes out once the command returns, so
+        # that a full or closed stdout is told apart from a failure inside it
         with contextlib.redirect_stdout(io.StringIO()) as text:
-            code = args.func(args)
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                # --help exits 0; a usage error exits 3, since 2 is budget exceeded
+                code = EXIT_INPUT_ERROR if exc.code else 0
+            else:
+                # every output path is checked before any work: appending
+                # nothing changes no content, and a file made here is removed again
+                for path in filter(None, (vars(args).get("cert_out"),
+                                          vars(args).get("output"))):
+                    made = not os.path.lexists(path)
+                    _write(path, "", "a")
+                    if made:
+                        os.remove(path)
+                code = args.func(args)
         try:
             sys.stdout.write(text.getvalue())
             sys.stdout.flush()

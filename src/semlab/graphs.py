@@ -213,9 +213,10 @@ def parse_edge_list(text: str) -> Graph:
             continue
         fields = line.split()
         if order is None:
-            if len(fields) != 1 or not fields[0].lstrip("-").isdigit():
-                raise GraphError(f"line {lineno}: expected vertex count, got {line!r}")
-            order = int(fields[0])
+            try:
+                order = int(line)
+            except ValueError as exc:
+                raise GraphError(f"line {lineno}: expected vertex count, got {line!r}") from exc
             continue
         if len(fields) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")

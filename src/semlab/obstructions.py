@@ -145,12 +145,12 @@ _ALL_CHECKS = (
 def check_all(g: Graph) -> ObstructionVerdict | None:
     """First verdict from the fixed check order, or None.
 
-    Edgeless graphs never obstruct (they are trivially labelable), so the
-    integrality check is skipped for them.
+    Edgeless graphs never obstruct: they are trivially labelable. Every
+    graph with edges and an empty valence interval gets a verdict.
     """
+    if g.size == 0:
+        return None
     for check in _ALL_CHECKS:
-        if g.size == 0 and check is check_valence_integrality:
-            continue
         verdict = check(g)
         if verdict is not None:
             return verdict

@@ -638,17 +638,17 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     Searches the labelings whose first label is at most (p+1)//2 and closes
     the result under complement duality, which covers the full bijection
     space exactly. It stops once the closed set is as large as the
-    interval, which holds it: then the two are equal. An empty interval
-    short-circuits.
+    interval, which holds it: then the two are equal. An obstruction
+    verdict proves the set empty without a search.
     """
     # SearchConfig rejects a budget or thread count below 1
     threads = SearchConfig(budget=budget, threads=threads).resolved_threads()
     p, q = g.order, g.size
     if q == 0:
         raise ValueError("valence set undefined for an edgeless graph")
-    interval = sem_interval(g)
-    if interval.empty:
+    if check_all(g) is not None:
         return ValenceSet((), True)
+    interval = sem_interval(g)
     engine = _execute(g, budget, threads, len(interval.values()))
     values = set(engine.valences)
     values.update(dual_valence(p, q, k) for k in engine.valences)

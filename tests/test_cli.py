@@ -88,13 +88,37 @@ def test_usage_errors_exit_3(capsys):
     # argparse's own exit code 2 would read as "budget exceeded"
     for argv in ([], ["teleport"], ["solve", "--budget", "many"],
                  ["valences", "--gen", "cycle", "5", "--frobnicate"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 3, argv
-        assert "usage:" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "usage:" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: semlab")
+
+
+def test_input_errors_exit_3(tmp_path, capsys):
+    # one error line, no traceback: int() is the one parser of integers
+    comment, dashes = tmp_path / "comment.el", tmp_path / "dashes.el"
+    comment.write_text("# nothing but a comment\n")
+    dashes.write_text("--5\n0 1\n")
+    cactus = ["solve", "--gen", "cactus", "3", "3", "--attach"]
+    for argv, message in (
+            (["solve", "--gen", "cycle", "5", "6"], "takes exactly one length"),
+            (["solve", "--gen", "two-cycle", "3"], "takes exactly two lengths"),
+            (["solve", "--gen", "cactus"], "at least one cycle length"),
+            (["solve", "--gen", "cycle", "x"], "takes integer arguments"),
+            (["solve", "--gen", "wheel", "5"], "unknown generator family"),
+            (["sweep", "two-cycle-grid", "--m", "a..b"], "bad range 'a..b'"),
+            (["check", "--gen", "cycle", "3", "--cert",
+              str(tmp_path / "missing.json")], "cannot read"),
+            (["solve", str(comment)], "empty edge-list input"),
+            ([*cactus, "0:--1"], "bad attachment '0:--1'"),
+            ([*cactus, "0:\u00b2"], "bad attachment '0:\u00b2'"),
+            ([*cactus, "0"], "bad attachment '0'"),
+            (["solve", str(dashes)], "expected vertex count, got '--5'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+        assert err.count("\n") == 1, err
 
 
 def test_cli_leaves_numpy_unimported():
@@ -155,6 +179,28 @@ def test_perfect_json_traverses_once(capsys, monkeypatch):
         code, out, _ = run(capsys, "perfect", *argv, "--json", "--threads", "1")
         assert (code, out) == (0, want)
         assert len(calls) == 1, argv
+
+
+def test_certificate_labels_are_json_integers(tmp_path, capsys):
+    # int() would truncate 1.9 and read "1" and true as 1, each making a
+    # valid certificate of C3
+    good = {"vertex_labels": [1, 2, 3],
+            "edge_labels": [[0, 1, 6], [0, 2, 5], [1, 2, 4]], "valence": 9}
+    path = tmp_path / "c3.json"
+    for cert, code in ((good, 0),
+                       ({**good, "vertex_labels": [1.9, 2.9, 3.9],
+                         "valence": 9.5}, 3),
+                       ({**good, "vertex_labels": ["1", "2", "3"]}, 3),
+                       ({**good, "vertex_labels": [True, 2, 3]}, 3),
+                       ({**good, "edge_labels": [[0, 1, 6], [0, 2, 5.0],
+                                                 [1, 2, 4]]}, 3)):
+        path.write_text(json.dumps(cert))
+        for command in ("check", "render"):
+            got, out, err = run(capsys, command, "--gen", "cycle", "3",
+                                "--cert", str(path))
+            assert got == code, (cert, command)
+            if code:
+                assert out == "" and err.startswith("error: bad certificate JSON: ")
 
 
 def test_certificate_pipeline(tmp_path, capsys):
@@ -255,7 +301,7 @@ def test_unwritable_stdout_exits_3():
     for unbuffered, sink, argv in itertools.product(
             ({}, {"PYTHONUNBUFFERED": "1"}), sinks,
             (["solve", "--gen", "cycle", "5", "--threads", "1"],
-             ["sweep", "two-cycle-grid", "--threads", "1"])):
+             ["sweep", "two-cycle-grid", "--threads", "1"], ["--help"])):
         if sink == "closed pipe":
             read, out = os.pipe()
             os.close(read)

@@ -172,14 +172,16 @@ def test_graph6_long_form_orders():
 
 
 def test_graph6_errors():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="empty graph6 input"):
         parse_graph6("")
-    with pytest.raises(GraphError):
-        parse_graph6("B\x1f")
-    with pytest.raises(GraphError):
-        parse_graph6("Bww")  # wrong body length
-    with pytest.raises(GraphError):
-        parse_graph6("Bz")  # nonzero padding bits
+    # below '?' and above '~'; a control byte would go to str.strip()
+    for text in ("B!", "B\x7f"):
+        with pytest.raises(GraphError, match="graph6 byte out of range"):
+            parse_graph6(text)
+    with pytest.raises(GraphError, match="body length 2 wrong for order 3"):
+        parse_graph6("Bww")
+    with pytest.raises(GraphError, match="padding bits must be zero"):
+        parse_graph6("Bz")
 
 
 def test_parse_graph_dispatch():

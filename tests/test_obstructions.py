@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from semlab import (
@@ -12,10 +13,12 @@ from semlab import (
     check_degseq_4_2_even_order,
     check_even_degree_parity,
     check_valence_integrality,
+    degseq_4_2_realizations,
     disjoint_union,
     make_cycle,
     make_two_cycle,
     oracle_search,
+    sem_interval,
     theorem_valence_gap,
     STATUS_NOT_SEM_EXHAUSTED,
     STATUS_SEM,
@@ -134,6 +137,21 @@ def test_check_all_order():
     assert check_all(make_cycle(4)).rule == VALENCE_INTEGRALITY
     assert check_all(make_cycle(5)) is None
     assert check_all(Graph(4, ())) is None
+
+
+def test_every_empty_interval_gets_a_verdict():
+    # sem_set takes "no labeling" from check_all alone, so a graph with an
+    # empty valence interval must never pass it silently
+    rng = random.Random(2022)
+    graphs = [Graph(a.number_of_nodes(), tuple(a.edges()))
+              for a in nx.graph_atlas_g()]
+    graphs += [helpers.random_graph(rng, p_max=10) for _ in range(2000)]
+    graphs += [g for order in range(5, 16)
+               for _, g in degseq_4_2_realizations(order)]
+    empty = [g for g in graphs if g.size and sem_interval(g).empty]
+    assert len(graphs) == 3392 and len(empty) == 111
+    for g in empty:
+        assert check_all(g) is not None, g
 
 
 def test_obstructions_sound_against_oracle():

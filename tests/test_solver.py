@@ -24,8 +24,10 @@ from semlab import (
     STATUS_SEM,
     STATUS_TRIVIAL_EDGELESS,
     STATUS_UNKNOWN_BUDGET_EXCEEDED,
+    ValenceSet,
     assignment_order,
     degree_sequence,
+    degseq_4_2_realizations,
     disjoint_union,
     edge_sums,
     is_extendable,
@@ -404,6 +406,39 @@ def test_leads_are_the_stabiliser_chain_orbits():
     assert len(graphs) == 207 and moved == 559
 
 
+def test_automorphism_work_cap_keeps_every_answer(monkeypatch):
+    # a plan that runs out of automorphism work keeps the leads found so
+    # far: statuses, witnesses and valence sets stay, and the search may
+    # only visit more nodes. At the default cap no graph here reaches it
+    named = (nx.petersen_graph(), nx.complete_bipartite_graph(3, 3),
+             nx.hypercube_graph(3), nx.circular_ladder_graph(5))
+    graphs = [make_cycle(8), make_cycle(9), make_two_cycle(3, 5),
+              make_two_cycle(4, 4), C3_C3_C3]
+    graphs += [Graph(h.order(), tuple(nx.convert_node_labels_to_integers(h).edges))
+               for h in named]
+
+    def answers(g):
+        out = search_sem(g, SEQ)
+        return (out.status, out.witness, sem_set(g, threads=1)), out.stats.nodes
+
+    gave_up = []
+
+    class GiveUp(solver_mod._GiveUp):
+        def __init__(self):
+            gave_up.append(self)
+
+    monkeypatch.setattr(solver_mod, "_GiveUp", GiveUp)
+    default = [answers(g) for g in graphs]
+    assert not gave_up
+    for work in (40, 200):
+        monkeypatch.setattr(solver_mod, "_AUT_WORK", work)
+        for g, (want, nodes) in zip(graphs, default):
+            got, more = answers(g)
+            assert got == want and more >= nodes, (work, g)
+        assert gave_up, work
+        gave_up.clear()
+
+
 def test_plan_of_a_rigid_cubic_graph_is_cheap():
     # a cubic graph of order 20 with no automorphism but the identity: every
     # vertex has one colour, so the plan refines and tests candidate images
@@ -677,9 +712,28 @@ def test_sem_set_partial_under_budget():
     # C7 has a non-empty interval, so the budget actually binds
     vs = sem_set(make_cycle(7), budget=10, threads=1)
     assert not vs.complete
-    # an empty interval short-circuits before any search happens
+    # an obstruction settles the set before any search happens
     vs = sem_set(make_cycle(8), budget=10, threads=1)
     assert vs.complete and vs.values == ()
+
+
+def test_an_obstruction_settles_the_valence_set(monkeypatch):
+    # the paper's theorem: no (4, 2, ..., 2) graph of even order p >= 6 has
+    # a labeling. Its verdict, as any other, gives the empty set at once,
+    # complete at any budget, though no interval here is empty; a bad
+    # budget is still refused first
+    def no_search(*args):
+        raise AssertionError("searched an obstructed graph")
+
+    monkeypatch.setattr(solver_mod, "_execute", no_search)
+    graphs = [g for _, g in degseq_4_2_realizations(12)]
+    assert len(graphs) == 15
+    for g in graphs + [make_two_cycle(3, 7)]:
+        assert not sem_interval(g).empty
+        assert sem_set(g, budget=1) == ValenceSet((), True), g
+    assert is_perfect_sem(make_two_cycle(5, 8), budget=1) == "not-perfect"
+    with pytest.raises(ValueError):
+        sem_set(make_cycle(4), budget=0)
 
 
 def test_perfect_classification():
