@@ -119,13 +119,13 @@ def _gen_graph(args) -> Graph:
 
 
 def _sniff_format(text: str) -> str:
-    """An edge list starts with its order, a number; graph6 bytes start at
-    '?' and its header at '>', so neither is a digit or '-'."""
+    """graph6 text starts with its header's '>' or a data byte, '?' to '~';
+    anything else is an edge list, whose order int() parses or rejects."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        return "edge-list" if line[0] in "-0123456789" else "graph6"
+        return "graph6" if ">" <= line[0] <= "~" else "edge-list"
     return "edge-list"
 
 

@@ -7,11 +7,23 @@ is immutable after construction and safe to share across worker processes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
 class GraphError(ValueError):
     """Malformed graph data or unparseable graph text."""
+
+
+def as_int(x, error: type[ValueError] = ValueError) -> int:
+    """``x`` as an int where operator.index takes it and it is no bool, else
+    ``error``: int() would truncate 1.9, parse "1" and take True as 1."""
+    try:
+        if not isinstance(x, bool):
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise error(f"{x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -28,11 +40,12 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "order", as_int(self.order, GraphError))
         if self.order < 0:
             raise GraphError("vertex count must be non-negative")
         seen = set()
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = as_int(e[0], GraphError), as_int(e[1], GraphError)
             if not (0 <= u < self.order and 0 <= v < self.order):
                 raise GraphError(f"edge {(u, v)} out of range for order {self.order}")
             if u == v:
@@ -68,7 +81,7 @@ class Graph:
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
         try:
-            return Graph(int(data["order"]), tuple((e[0], e[1]) for e in data["edges"]))
+            return Graph(data["order"], tuple((e[0], e[1]) for e in data["edges"]))
         except (KeyError, TypeError, IndexError) as exc:
             raise GraphError(f"bad graph JSON: {exc}") from exc
 

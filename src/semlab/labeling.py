@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, as_int
 
 
 class LabelingError(ValueError):
@@ -53,13 +53,6 @@ def complement_labeling(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(p + 1 - x for x in labels)
 
 
-def _json_int(x) -> int:
-    """A JSON integer as it is: int() would truncate 1.9 and parse "1"."""
-    if type(x) is not int:  # not a bool either: true is no label
-        raise TypeError(f"{x!r} is not an integer")
-    return x
-
-
 @dataclass(frozen=True)
 class SemLabeling:
     """A full super edge-magic labeling: the checkable certificate.
@@ -84,10 +77,10 @@ class SemLabeling:
     def from_json_dict(data: dict) -> "SemLabeling":
         try:
             return SemLabeling(
-                tuple(_json_int(x) for x in data["vertex_labels"]),
-                tuple((_json_int(u), _json_int(v), _json_int(w))
+                tuple(as_int(x) for x in data["vertex_labels"]),
+                tuple((as_int(u), as_int(v), as_int(w))
                       for u, v, w in data["edge_labels"]),
-                _json_int(data["valence"]),
+                as_int(data["valence"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise LabelingError(f"bad certificate JSON: {exc}") from exc

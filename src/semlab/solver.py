@@ -53,13 +53,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
-from .graphs import Graph
+from .graphs import Graph, as_int
 from .labeling import (SemLabeling, ValenceInterval, dual_valence,
                        extend_to_sem, sem_interval, verify_sem)
 from .obstructions import ObstructionVerdict, check_all
@@ -76,10 +75,6 @@ DEFAULT_BUDGET = 10**9
 # 0.2-0.3 s of one core, more than most of the paper's searches take,
 # while a pool costs ~15 ms to start and ~18 ms of imports (2-vCPU VM)
 _INLINE_NODES = 1 << 19
-
-# frames left to the kernel's callers on top of its one per depth: the
-# interpreter's default recursion limit
-_CALLER_FRAMES = 1000
 
 
 @dataclass(frozen=True)
@@ -108,10 +103,13 @@ class SearchConfig:
     threads: int | None = None  # None = all CPUs this process may run on
 
     def __post_init__(self):
+        object.__setattr__(self, "budget", as_int(self.budget))
         if self.budget < 1:
             raise ValueError("budget must be a positive node count")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.threads is not None:
+            object.__setattr__(self, "threads", as_int(self.threads))
+            if self.threads < 1:
+                raise ValueError("threads must be >= 1")
 
     def resolved_threads(self) -> int:
         # os.cpu_count() counts CPUs that an affinity mask may bar
@@ -320,11 +318,6 @@ class _TaskResult:
     valences: dict[int, tuple[int, int, tuple[int, ...]]]
 
 
-class _Stop(Exception):
-    """A task stops before covering its subtree: once its valences suffice,
-    at its node cap or when told to abort. Carries the nodes searched."""
-
-
 _WORKER_ABORT = None  # set by the pool initializer in worker processes
 
 
@@ -342,15 +335,10 @@ def _run_task(plan: _Plan, full: float, idx: int,
     leaf where its valences and their duals number ``full``: 1 stops at the
     first witness, math.inf never. ``idx`` is its place in prefix order.
     ``handoff``, (at, call) in this process, calls ``call()`` once past node
-    ``at`` to start the worker pool, and the task goes on.
-
-    The search recurses once per depth, so the task raises the recursion
-    limit, which is process-wide, to fit p frames above its callers', and p
-    more: a worker forked at the hand-off starts as deep as this process
-    was. It never lowers it."""
+    ``at`` to start the worker pool, and the task goes on. The search keeps
+    its own stack, one entry per depth, so no depth costs a Python frame."""
     p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
     lead, follow = plan.lead, plan.follow
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * p + _CALLER_FRAMES))
     # the edge sums must fit a window of width q-1. A graph with more than
     # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
     # edge placed ends its branch
@@ -363,8 +351,8 @@ def _run_task(plan: _Plan, full: float, idx: int,
     abort_box = _WORKER_ABORT
     at, fan_out = handoff or (cap, None)
     # one test per node serves the cap and either a pool worker's abort poll
-    # at every 4096th node or the hand-off here: poll[0] is the first due
-    poll = [min(cap, 0 if abort_box is not None else at)]
+    # at every 4096th node or the hand-off here: poll is the first due
+    poll = min(cap, 0 if abort_box is not None else at)
     # pinned depths try only their label, the others one shared tuple (a
     # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
@@ -374,41 +362,36 @@ def _run_task(plan: _Plan, full: float, idx: int,
     # ascending fill is the least of the (p-1-leaf)! completions it stands for
     leaf = max(plan.last, start) - 1
     covered = math.factorial(p - 1 - leaf)
-    labelings = [0]
+    nodes = labelings = 0
     valences: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     closed: set[int] = set()  # the valences reached and their duals
 
-    def rec(d, cmin, cmax, nodes,
-            earlier=earlier, used_label=used_label, used_sum=used_sum,
-            labels_at=labels_at, q1=q1, leaf=leaf, poll=poll,
-            lead=lead, follow=follow,
-            islice=itertools.islice) -> int:
-        earlier_d = earlier[d]
-        # the lead rule: only labels above the lead's, and at a base with f
-        # followers only those with f free labels above them, uncounted
-        # outside (islice, as the shared tuple must not be copied per call).
-        # The cap falls by the used labels above it until it stands still
-        above, f = labels_at[lead[d]], follow[d]
-        top = p - f if f else None
-        while f and (lower := p - f - used_label.count(1, top + 1)) < top:
-            top = lower
-        for lab in (islice(choices[d], above, top) if above or f
-                    else choices[d]):
+    # per depth d: the labels it has yet to try, set on each descent to d,
+    # and the window of the sums placed above it. The lead rule keeps only
+    # labels above the lead's and, at a base with f followers, only those
+    # with f free labels above them, uncounted outside (islice: the shared
+    # tuple is not copied); the cap falls by the used labels above it until
+    # it stands still. Position 0 has no lead and finds no label used
+    todo = [itertools.islice(choices[0], p - follow[0])] * p
+    low, high, d = [2 * p + 1] * p, [0] * p, 0
+    while True:
+        earlier_d, cmin, cmax = earlier[d], low[d], high[d]
+        for lab in todo[d]:
             if used_label[lab]:
                 continue
             nodes += 1
-            if nodes > poll[0]:
+            if nodes > poll:
                 # stop past the cap, or in a pool worker once the abort
                 # value is below this task's index; else move the poll on
                 if nodes > cap:
-                    raise _Stop(cap)
+                    return _TaskResult(cap, labelings, False, valences)
                 if abort_box is None:  # the hand-off: start the pool
                     fan_out()
-                    poll[0] = cap
+                    poll = cap
                 elif abort_box.value < idx:
-                    raise _Stop(nodes)
+                    return _TaskResult(nodes, labelings, False, valences)
                 else:
-                    poll[0] = min(cap, nodes + 4095)
+                    poll = min(cap, nodes + 4095)
             # the new sums differ as the earlier labels do, which stay put
             # while this depth is live: test them all, then mark them
             new_min, new_max = cmin, cmax
@@ -429,33 +412,42 @@ def _run_task(plan: _Plan, full: float, idx: int,
                     used_label[lab] = 1
                     labels_at[d] = lab
                     if d < leaf:
-                        nodes = rec(d + 1, new_min, new_max, nodes)
-                    else:
-                        labelings[0] += covered
-                        k = p + q + new_min
-                        if k not in valences:
-                            labeling = labels_at[:d + 1] + [
-                                x for x in range(1, p + 1) if not used_label[x]]
-                            valences[k] = nodes, labelings[0], tuple(
-                                labeling[pos[v]] for v in range(p))
-                            closed.update((k, dual_valence(p, q, k)))
-                            if len(closed) >= full:
-                                # the replay stops at this task or before
-                                # it: tell the tasks past it to quit
-                                if abort_box is not None:
-                                    with abort_box.get_lock():
-                                        abort_box.value = min(abort_box.value, idx)
-                                raise _Stop(nodes)
+                        d += 1
+                        low[d], high[d] = new_min, new_max
+                        above, f = labels_at[lead[d]], follow[d]
+                        top = p - f if f else None
+                        while f and (lower := p - f - used_label.count(1, top + 1)) < top:
+                            top = lower
+                        todo[d] = (itertools.islice(choices[d], above, top)
+                                   if above or f else iter(choices[d]))
+                        break
+                    labelings += covered
+                    k = p + q + new_min
+                    if k not in valences:
+                        labeling = labels_at[:d + 1] + [
+                            x for x in range(1, p + 1) if not used_label[x]]
+                        valences[k] = nodes, labelings, tuple(
+                            labeling[pos[v]] for v in range(p))
+                        closed.update((k, dual_valence(p, q, k)))
+                        if len(closed) >= full:
+                            # the replay stops at this task or before it:
+                            # tell the tasks past it to quit
+                            if abort_box is not None:
+                                with abort_box.get_lock():
+                                    abort_box.value = min(abort_box.value, idx)
+                            return _TaskResult(nodes, labelings, False, valences)
                     used_label[lab] = 0
                     for j in earlier_d:
                         used_sum[lab + labels_at[j]] = 0
-        return nodes
-
-    try:
-        nodes, exhausted = rec(0, 2 * p + 1, 0, 0), True
-    except _Stop as stop:
-        nodes, exhausted = stop.args[0], False
-    return _TaskResult(nodes, labelings[0], exhausted, valences)
+        else:
+            # depth d has no label left: back up and unmark its parent's
+            if d == 0:
+                return _TaskResult(nodes, labelings, True, valences)
+            d -= 1
+            lab = labels_at[d]
+            used_label[lab] = 0
+            for j in earlier[d]:
+                used_sum[lab + labels_at[j]] = 0
 
 
 # --- task construction and the in-order streaming executor ----------------
@@ -577,7 +569,7 @@ def _execute(g: Graph, budget: int, threads: int, full: float,
 
 def _normalize_prefix(g: Graph, prefix) -> tuple[tuple[int, int], ...]:
     order = assignment_order(g)
-    pairs = tuple((int(v), int(lab)) for v, lab in prefix)
+    pairs = tuple((as_int(v), as_int(lab)) for v, lab in prefix)
     if [v for v, _ in pairs] != order[:len(pairs)]:
         raise ValueError(
             f"prefix must pin the first vertices in assignment order {order}")
@@ -704,7 +696,7 @@ def oracle_search(g: Graph, *,
     start = time.perf_counter()
     p, q = g.order, g.size
     pairs = list(prefix or ())
-    fixed = {int(v): int(lab) for v, lab in pairs}
+    fixed = {as_int(v): as_int(lab) for v, lab in pairs}
     if len(fixed) != len(pairs):
         raise ValueError("prefix vertices must be distinct")
     for v, lab in fixed.items():

@@ -346,6 +346,10 @@ def test_graph_inputs(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path), "--threads", "1")
     assert (code, out) == (3, "") and err.startswith("error: ")
     assert "expected vertex count" in err
+    # graph6 starts at '>' or above: a signed order is an edge list
+    path.write_text("+3\n0 1\n")
+    code, out, _ = run(capsys, "solve", str(path), "--threads", "1")
+    assert code == 0 and "order 3, size 1" in out
 
     code, _, err = run(capsys, "solve")
     assert code == 3 and "no graph" in err

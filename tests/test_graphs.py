@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,11 +33,25 @@ def test_graph_normalizes_and_validates():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(GraphError):
         Graph(-1, ())
+    # the order and every endpoint are ints, what operator.index takes but
+    # a bool: nothing is truncated or parsed
+    for order, edges in ((3.0, ((0, 1),)), ("3", ()), (True, ()),
+                         (3, ((0.5, 1.5),)), (3, ((True, 2),)), (3, (("0", 1),))):
+        with pytest.raises(GraphError):
+            Graph(order, edges)
+    g = Graph(np.int64(3), ((np.int64(2), np.int8(0)),))
+    assert g.to_json_dict() == {"order": 3, "edges": [[0, 2]]}
+    assert type(g.order) is type(g.edges[0][0]) is int
 
 
 def test_graph_json_round_trip():
     g = make_two_cycle(3, 4)
     assert Graph.from_json_dict(g.to_json_dict()) == g
+    for data in ({"order": "3", "edges": [[0.5, 1.7], [True, "2"]]},
+                 {"order": 3.0, "edges": []}, {"order": 3, "edges": [[0, 1.0]]},
+                 {"order": 3, "edges": [[False, 1]]}):
+        with pytest.raises(GraphError):
+            Graph.from_json_dict(data)
 
 
 def test_make_cycle():

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from semlab import (
@@ -627,10 +628,9 @@ def test_pool_started_inside_a_task_changes_no_result(monkeypatch):
 
 
 def test_a_pool_started_deep_in_a_search_fits_its_workers_stacks():
-    # the hand-off may fork the workers deep in the recursion, and a worker
-    # starts as deep as this process was: on K(1,1500) the first task
-    # starts the pool 1,400 frames deep, and a worker's task, center label
-    # 2, recurses 1,500 frames more
+    # the hand-off may fork the workers deep in a search: on K(1,1500) the
+    # first task starts the pool at depth 1,400, and a worker's task,
+    # center label 2, goes 1,500 depths down its own stack
     star = Graph(1501, tuple((0, v) for v in range(1, 1501)))
     plan = solver_mod._make_plan(star)
     nodes = []
@@ -792,6 +792,10 @@ def test_oracle_prefix_validation():
         oracle_search(g, prefix=[(9, 1)])
     with pytest.raises(ValueError):
         oracle_search(g, prefix=[(0, 9)])
+    # vertices and labels are ints, not floats, strings or bools
+    for prefix in ([(0.5, 1)], [(0, 1.0)], [(True, 1)], [(0, "1")]):
+        with pytest.raises(ValueError):
+            oracle_search(g, prefix=prefix)
 
 
 def test_oracle_equivalence_small_corpus():
@@ -1076,13 +1080,34 @@ def test_pinned_depths_skip_fill():
 
 
 def test_deep_search_does_not_overflow_the_stack():
-    # the kernel recurses once per depth, and a star of order 1501 needs
-    # 1500 of them: more than the interpreter's default limit of 1000
+    # a star of order 1501 is searched 1500 depths down: more than the
+    # interpreter's default recursion limit of 1000
     g = Graph(1501, tuple((0, v) for v in range(1, 1501)))
     for threads in (1, 2):
         out = search_sem(g, SearchConfig(threads=threads))
         assert out.status == STATUS_SEM and verify_sem(g, out.witness)
         assert out.stats.nodes == 1_501
+
+
+@pytest.mark.usefixtures("pool_at_first_node")
+def test_a_search_leaves_the_recursion_limit_alone():
+    # the kernel keeps its own stack: a deep search, a pool forked during
+    # it, or a valence set, sets no process-wide limit behind the caller.
+    # The test starts at the interpreter's default, whatever ran before
+    before = sys.getrecursionlimit()
+    star = Graph(1501, tuple((0, v) for v in range(1, 1501)))
+    searches = [lambda: search_sem(star, SearchConfig(threads=1)),
+                lambda: search_sem(star, SearchConfig(threads=2)),
+                lambda: sem_set(star, budget=100_000),
+                lambda: search_sem(C6_C34, SearchConfig(use_obstructions=False,
+                                                         threads=2))]
+    sys.setrecursionlimit(1000)
+    try:
+        for search in searches:
+            search()
+            assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_prefix_validation():
@@ -1098,6 +1123,10 @@ def test_prefix_validation():
                    prefix=[(5, 1), (5, 1)])
     with pytest.raises(ValueError):
         search_sem(Graph(3, ()), SEQ, prefix=[(7, 9)])
+    # vertices and labels are ints: (0.7, 1.2) is not (0, 1)
+    for prefix in ([(0.7, 1.2)], [(0, True)], [("0", 1)]):
+        with pytest.raises(ValueError):
+            search_sem(g, SEQ, prefix=prefix)
 
 
 def test_outcome_json_shape():
@@ -1137,3 +1166,10 @@ def test_config_validation():
         SearchConfig(budget=0)
     with pytest.raises(ValueError):
         SearchConfig(threads=0)
+    # a budget or thread count is an int, not a bool or a float
+    for settings in ({"budget": True}, {"budget": 1e6}, {"threads": 2.5},
+                     {"threads": True}, {"budget": "5"}):
+        with pytest.raises(ValueError):
+            SearchConfig(**settings)
+    cfg = SearchConfig(budget=np.int64(10**6), threads=np.int8(1))
+    assert type(cfg.budget) is type(cfg.threads) is int
