@@ -45,7 +45,11 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         seen = set()
         for e in self.edges:
-            u, v = as_int(e[0], GraphError), as_int(e[1], GraphError)
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not two endpoints") from None
+            u, v = as_int(u, GraphError), as_int(v, GraphError)
             if not (0 <= u < self.order and 0 <= v < self.order):
                 raise GraphError(f"edge {(u, v)} out of range for order {self.order}")
             if u == v:
@@ -81,8 +85,8 @@ class Graph:
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
         try:
-            return Graph(data["order"], tuple((e[0], e[1]) for e in data["edges"]))
-        except (KeyError, TypeError, IndexError) as exc:
+            return Graph(data["order"], tuple(data["edges"]))
+        except (KeyError, TypeError) as exc:
             raise GraphError(f"bad graph JSON: {exc}") from exc
 
 

@@ -103,6 +103,8 @@ class SearchConfig:
     threads: int | None = None  # None = all CPUs this process may run on
 
     def __post_init__(self):
+        if not isinstance(self.use_obstructions, bool):
+            raise ValueError("use_obstructions must be True or False")
         object.__setattr__(self, "budget", as_int(self.budget))
         if self.budget < 1:
             raise ValueError("budget must be a positive node count")
@@ -679,7 +681,21 @@ def is_perfect_sem(g: Graph, budget: int = DEFAULT_BUDGET,
 # --- independent brute-force oracle ----------------------------------------
 
 _ORACLE_MAX_FREE = 10
-_ORACLE_CHUNK = 100_000  # bijections tested per vectorized block
+_ORACLE_TAIL = 8  # free vertices filled from the table, 8! rows per block
+
+
+def _lex_perms(k: int):
+    """Every order of range(k), as the rows of an int8 array in
+    lexicographic order. Step n puts each first value f before the orders
+    of range(n-1) shifted past f, which keeps their order."""
+    import numpy as np
+
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for n in range(1, k + 1):
+        rest = np.tile(rows, (n, 1))
+        first = np.repeat(np.arange(n, dtype=np.int8), len(rows))[:, None]
+        rows = np.hstack((first, rest + (rest >= first)))
+    return rows
 
 
 def oracle_search(g: Graph, *,
@@ -731,27 +747,32 @@ def oracle_search(g: Graph, *,
     us = np.array([u for u, _ in g.edges], dtype=np.intp)
     vs = np.array([v for _, v in g.edges], dtype=np.intp)
 
+    # each block fixes the leading free vertices' labels, in the order
+    # itertools.permutations gives, and fills the rest from the table: the
+    # blocks run through every bijection in lexicographic order
+    head = max(0, len(free_vertices) - _ORACLE_TAIL)
+    head_vertices, tail_vertices = free_vertices[:head], free_vertices[head:]
+    table = _lex_perms(len(tail_vertices))
+    rows = np.tile(base, (len(table), 1))
     tested = 0
     first_witness = None
     valences: set[int] = set()
-    perm_iter = itertools.permutations(free_labels)
-    while True:
-        block = list(itertools.islice(perm_iter, _ORACLE_CHUNK))
-        if not block:
-            break
-        rows = np.tile(base, (len(block), 1))
-        if free_vertices:
-            rows[:, free_vertices] = np.asarray(block, dtype=dtype)
+    for lead in itertools.permutations(free_labels, head):
+        rest = np.array([lab for lab in free_labels if lab not in lead], dtype=dtype)
+        rows[:, head_vertices] = lead
+        rows[:, tail_vertices] = rest[table]
         sums = rows[:, us] + rows[:, vs]
-        # one edge: diff has no columns and all() is True, as it should be
-        mask = (np.diff(np.sort(sums, axis=1), axis=1) == 1).all(axis=1)
-        if mask.any():
-            kvals = p + q + sums[mask].min(axis=1)
-            valences.update(int(k) for k in np.unique(kvals))
+        # q sums are consecutive iff they span q - 1 and are distinct: test
+        # the span, then sort only the rows that pass it. One edge: diff
+        # has no columns and all() is True, as it should be
+        low = sums.min(axis=1)
+        span = np.flatnonzero(sums.max(axis=1) - low == q - 1)
+        hits = span[(np.diff(np.sort(sums[span], axis=1), axis=1) == 1).all(axis=1)]
+        if hits.size:
+            valences.update(int(k) for k in np.unique(p + q + low[hits]))
             if first_witness is None:
-                row = rows[int(np.flatnonzero(mask)[0])]
-                first_witness = tuple(int(x) for x in row)
-        tested += len(block)
+                first_witness = tuple(int(x) for x in rows[hits[0]])
+        tested += len(table)
 
     vset = ValenceSet(tuple(sorted(valences)), complete=True)
     if first_witness is not None:

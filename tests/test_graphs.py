@@ -33,6 +33,10 @@ def test_graph_normalizes_and_validates():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(GraphError):
         Graph(-1, ())
+    # an edge is exactly two endpoints
+    for edges in (((0, 1, 2),), ((0,),), (5,)):
+        with pytest.raises(GraphError):
+            Graph(3, edges)
     # the order and every endpoint are ints, what operator.index takes but
     # a bool: nothing is truncated or parsed
     for order, edges in ((3.0, ((0, 1),)), ("3", ()), (True, ()),
@@ -49,7 +53,8 @@ def test_graph_json_round_trip():
     assert Graph.from_json_dict(g.to_json_dict()) == g
     for data in ({"order": "3", "edges": [[0.5, 1.7], [True, "2"]]},
                  {"order": 3.0, "edges": []}, {"order": 3, "edges": [[0, 1.0]]},
-                 {"order": 3, "edges": [[False, 1]]}):
+                 {"order": 3, "edges": [[False, 1]]}, {"order": 3, "edges": [[0, 1, 2]]},
+                 {"order": 3, "edges": [[0]]}, {"order": 3, "edges": [5]}):
         with pytest.raises(GraphError):
             Graph.from_json_dict(data)
 

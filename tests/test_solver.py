@@ -765,6 +765,35 @@ def test_oracle_examples():
         assert out.stats.labelings == math.factorial(g.order)
 
 
+def test_oracle_blocks_keep_lexicographic_order():
+    # the table that fills the last free vertices lists every order of
+    # range(k) as itertools.permutations does
+    for k in range(9):
+        assert [tuple(r) for r in solver_mod._lex_perms(k).tolist()] == \
+            list(itertools.permutations(range(k))), k
+    # a 9-vertex tree spans 9 blocks of 8! bijections, and its first
+    # witness lies past the first block
+    tree = Graph(9, ((0, 1), (0, 2), (0, 3), (0, 7), (1, 5), (1, 6), (1, 8), (2, 4)))
+    out = oracle_search(tree)
+    assert out.status == STATUS_SEM
+    assert out.witness.vertex_labels == (2, 4, 5, 7, 3, 1, 6, 9, 8)
+    assert out.valence_set.values == (22, 23, 24, 25)
+    assert out.stats.labelings == math.factorial(9)
+
+
+def test_oracle_memory_is_bounded():
+    # the blocks reuse one buffer of 8! rows: numpy reports its buffers to
+    # tracemalloc, so the peak bounds what the oracle holds at once
+    tracemalloc.start()
+    try:
+        out = oracle_search(make_two_cycle(5, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stats.labelings == math.factorial(9)
+    assert peak < 8 * 2**20
+
+
 def test_oracle_rejects_large_free_space():
     with pytest.raises(ValueError):
         oracle_search(make_cycle(11))
@@ -1171,5 +1200,9 @@ def test_config_validation():
                      {"threads": True}, {"budget": "5"}):
         with pytest.raises(ValueError):
             SearchConfig(**settings)
+    # use_obstructions is True or False, not any truthy or falsy value
+    for value in ("no", 0, 1, None, np.bool_(False)):
+        with pytest.raises(ValueError):
+            SearchConfig(use_obstructions=value)
     cfg = SearchConfig(budget=np.int64(10**6), threads=np.int8(1))
     assert type(cfg.budget) is type(cfg.threads) is int
