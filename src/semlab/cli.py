@@ -25,7 +25,7 @@ from .graphs import (
     make_cactus,
     make_cycle,
     make_two_cycle,
-    parse_graph,
+    parse_edge_list,
     parse_graph6,
 )
 from .labeling import (LabelingError, SemLabeling, dual_valence, sem_interval,
@@ -118,15 +118,17 @@ def _gen_graph(args) -> Graph:
     raise CliError(f"unknown generator family {family!r}")
 
 
-def _sniff_format(text: str) -> str:
-    """graph6 text starts with its header's '>' or a data byte, '?' to '~';
-    anything else is an edge list, whose order int() parses or rejects."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        return "graph6" if ">" <= line[0] <= "~" else "edge-list"
-    return "edge-list"
+def _parse_file(text: str) -> Graph:
+    """Comments and blank lines aside, graph6 text is one line that starts
+    with its header's '>' or a data byte, '?' to '~'; anything else is an
+    edge list, whose order int() parses or rejects."""
+    lines = [line for raw in text.splitlines()
+             if (line := raw.split("#", 1)[0].strip())]
+    if not lines or not ">" <= lines[0][0] <= "~":
+        return parse_edge_list(text)
+    if len(lines) > 1:
+        raise CliError(f"graph6 input holds more than one graph ({len(lines)} lines)")
+    return parse_graph6(lines[0])
 
 
 def load_graph(args) -> Graph:
@@ -142,7 +144,7 @@ def load_graph(args) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {args.path}: {exc}") from exc
-        return parse_graph(text, _sniff_format(text))
+        return _parse_file(text)
     raise CliError("no graph given: use --gen, --g6, or a file path")
 
 

@@ -328,17 +328,30 @@ def _pool_init(abort_value):
     _WORKER_ABORT = abort_value
 
 
-def _run_task(plan: _Plan, full: float, idx: int,
-              prefix_labels: tuple[int, ...], cap: int,
-              handoff: tuple[int, Callable] | None = None) -> _TaskResult:
+def _pool_task(plan: _Plan, full: float, idx: int,
+               prefix_labels: tuple[int, ...], cap: int) -> _TaskResult:
+    """Task ``idx`` in prefix order, run in a pool worker: it quits once the
+    abort value falls below ``idx``. Stopping short of its subtree, it lowers
+    the value to ``idx``, for the replay stops at this task or before it."""
+    abort = _WORKER_ABORT
+    res = _run_task(plan, full, prefix_labels, cap,
+                    lambda nodes: abort.value < idx)
+    if not res.exhausted:
+        with abort.get_lock():
+            abort.value = min(abort.value, idx)
+    return res
+
+
+def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
+              cap: int, poll: Callable[[int], bool] | None = None) -> _TaskResult:
     """Search the subtree under ``prefix_labels`` in at most ``cap`` nodes.
     Every node visited counts, pinned ones too. The task records where it
     first reaches each valence, with that leaf's labeling, and stops at the
     leaf where its valences and their duals number ``full``: 1 stops at the
-    first witness, math.inf never. ``idx`` is its place in prefix order.
-    ``handoff``, (at, call) in this process, calls ``call()`` once past node
-    ``at`` to start the worker pool, and the task goes on. The search keeps
-    its own stack, one entry per depth, so no depth costs a Python frame."""
+    first witness, math.inf never. ``poll(nodes)``, called at the first node
+    and at every 4096th after it, stops the task when it returns True. The
+    search keeps its own stack, one entry per depth, so no depth costs a
+    Python frame."""
     p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
     lead, follow = plan.lead, plan.follow
     # the edge sums must fit a window of width q-1. A graph with more than
@@ -350,11 +363,8 @@ def _run_task(plan: _Plan, full: float, idx: int,
     used_sum = bytearray(2 * p + 2)
     labels_at = [0] * (p + 1)  # labels_at[p], "no lead", stays 0
 
-    abort_box = _WORKER_ABORT
-    at, fan_out = handoff or (cap, None)
-    # one test per node serves the cap and either a pool worker's abort poll
-    # at every 4096th node or the hand-off here: poll is the first due
-    poll = min(cap, 0 if abort_box is not None else at)
+    # one test per node serves the cap and the poll: due is the sooner
+    due = cap if poll is None else 0
     # pinned depths try only their label, the others one shared tuple (a
     # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
@@ -373,8 +383,8 @@ def _run_task(plan: _Plan, full: float, idx: int,
     # labels above the lead's and, at a base with f followers, only those
     # with f free labels above them, uncounted outside (islice: the shared
     # tuple is not copied); the cap falls by the used labels above it until
-    # it stands still. Position 0 has no lead and finds no label used
-    todo = [itertools.islice(choices[0], p - follow[0])] * p
+    # it stands still. Position 0 takes what the split hands it
+    todo = [iter(choices[0])] * p
     low, high, d = [2 * p + 1] * p, [0] * p, 0
     while True:
         earlier_d, cmin, cmax = earlier[d], low[d], high[d]
@@ -382,18 +392,12 @@ def _run_task(plan: _Plan, full: float, idx: int,
             if used_label[lab]:
                 continue
             nodes += 1
-            if nodes > poll:
-                # stop past the cap, or in a pool worker once the abort
-                # value is below this task's index; else move the poll on
+            if nodes > due:
                 if nodes > cap:
                     return _TaskResult(cap, labelings, False, valences)
-                if abort_box is None:  # the hand-off: start the pool
-                    fan_out()
-                    poll = cap
-                elif abort_box.value < idx:
+                if poll(nodes):
                     return _TaskResult(nodes, labelings, False, valences)
-                else:
-                    poll = min(cap, nodes + 4095)
+                due = min(cap, nodes + 4095)
             # the new sums differ as the earlier labels do, which stay put
             # while this depth is live: test them all, then mark them
             new_min, new_max = cmin, cmax
@@ -409,11 +413,12 @@ def _run_task(plan: _Plan, full: float, idx: int,
                 # a node that places no edge keeps a window that passed:
                 # its parent's, or the empty one, 0 - (2p+1)
                 if new_max - new_min <= q1:
-                    for j in earlier_d:
-                        used_sum[lab + labels_at[j]] = 1
-                    used_label[lab] = 1
                     labels_at[d] = lab
                     if d < leaf:
+                        # marked as the search descends, not at the leaf
+                        for j in earlier_d:
+                            used_sum[lab + labels_at[j]] = 1
+                        used_label[lab] = 1
                         d += 1
                         low[d], high[d] = new_min, new_max
                         above, f = labels_at[lead[d]], follow[d]
@@ -426,21 +431,15 @@ def _run_task(plan: _Plan, full: float, idx: int,
                     labelings += covered
                     k = p + q + new_min
                     if k not in valences:
-                        labeling = labels_at[:d + 1] + [
-                            x for x in range(1, p + 1) if not used_label[x]]
+                        # no comprehension: it would make lab, read at
+                        # every node, a closure cell
+                        labeling = labels_at[:d + 1]
+                        labeling += sorted(set(range(1, p + 1)).difference(labeling))
                         valences[k] = nodes, labelings, tuple(
                             labeling[pos[v]] for v in range(p))
                         closed.update((k, dual_valence(p, q, k)))
                         if len(closed) >= full:
-                            # the replay stops at this task or before it:
-                            # tell the tasks past it to quit
-                            if abort_box is not None:
-                                with abort_box.get_lock():
-                                    abort_box.value = min(abort_box.value, idx)
                             return _TaskResult(nodes, labelings, False, valences)
-                    used_label[lab] = 0
-                    for j in earlier_d:
-                        used_sum[lab + labels_at[j]] = 0
         else:
             # depth d has no label left: back up and unmark its parent's
             if d == 0:
@@ -471,19 +470,21 @@ _WINDOW_PER_WORKER = 2
 def _execute(g: Graph, budget: int, threads: int, full: float,
              prefix: tuple[int, ...] | None = None) -> _EngineResult:
     """Run one task per live first label, or the one task that ``prefix``
-    (labels in assignment order) pins, ahead of an in-order replay that applies
-    sequential budget rules: in this process, one at a time, until the nodes
-    visited pass _INLINE_NODES. There, given threads and tasks left, the
-    running task starts a pool, which takes the later tasks at most a window
-    ahead, and finishes here. A task's cap is what the budget leaves after the
-    tasks replayed when it starts: never below its sequential allowance, so a
-    task that hits its cap proves a sequential run would run out of budget
-    too. A cut reports the budget, and keeps the valences the cut task reached
-    within its allowance. The replay stops at the labeling where the valences,
-    closed under duality, number ``full``, and reports it as the witness: 1
-    stops at the first witness, the interval's size once the valences fill
-    it, math.inf never. Once the replay stops, the abort value makes the
-    tasks past it quit, the queued ones at their first node."""
+    (labels in assignment order) pins, ahead of an in-order replay that
+    applies sequential budget rules: in this process, one at a time, until the
+    nodes visited pass _INLINE_NODES. Past them, given threads and tasks left,
+    the running task's next poll starts a pool, which takes the later tasks at
+    most a window ahead, and the task finishes here. A task's cap is what the
+    budget leaves after the tasks replayed when it starts: never below its
+    sequential allowance, so a task that hits its cap proves a sequential run
+    would run out of budget too. A cut reports the budget, and keeps the
+    valences the cut task reached within its allowance. The replay stops at
+    the labeling where the valences, closed under duality, number ``full``,
+    and reports it as the witness: 1 stops at the first witness, the
+    interval's size once the valences fill it, math.inf never. Once the replay
+    stops, the abort value makes the tasks past it quit, the queued ones at
+    their first node; a pool task that stops short of its subtree lowers the
+    value to its own index."""
     plan = _make_plan(g)
     if prefix is not None:
         # a prefix may pin a lead's followers below it, and () promises
@@ -508,31 +509,33 @@ def _execute(g: Graph, budget: int, threads: int, full: float,
         nonlocal nxt
         while nxt < n and len(running) < window and (
                 i not in running or not running[i].done()):
-            running[nxt] = pool.submit(_run_task, plan, full, nxt, tasks[nxt],
+            running[nxt] = pool.submit(_pool_task, plan, full, nxt, tasks[nxt],
                                        budget - out.nodes)
             nxt += 1
 
-    def fan_out():
-        # task i, running here, passed the threshold: start the pool. Till
-        # task i returns, this process is busy too: one task per thread
+    def fan_out(nodes):
+        # the poll of task i, running here: once the nodes visited pass the
+        # threshold, start the pool. Till task i returns, this process is
+        # busy too: one task per thread. The task never stops for it
         nonlocal window, abort, pool
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(threads, n - nxt)
-        abort = mp.Value("q", n)  # tasks with a larger index quit
-        pool = ProcessPoolExecutor(workers, initializer=_pool_init,
-                                   initargs=(abort,))
-        window = threads - 1
-        fill()
-        window = _WINDOW_PER_WORKER * workers
+        if pool is None and out.visited + nodes > _INLINE_NODES:
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+            workers = min(threads, n - nxt)
+            abort = mp.Value("q", n)  # tasks with a larger index quit
+            pool = ProcessPoolExecutor(workers, initializer=_pool_init,
+                                       initargs=(abort,))
+            window = threads - 1
+            fill()
+            window = _WINDOW_PER_WORKER * workers
+        return False
 
     try:
         while i < n:
             if pool is None:
                 nxt = i + 1
-                res = _run_task(plan, full, i, tasks[i], budget - out.nodes,
-                                (_INLINE_NODES - out.visited, fan_out)
-                                if threads > 1 and nxt < n else None)
+                res = _run_task(plan, full, tasks[i], budget - out.nodes,
+                                fan_out if threads > 1 and nxt < n else None)
             else:
                 fill()
                 res = running.pop(i).result()
@@ -569,14 +572,14 @@ def _execute(g: Graph, budget: int, threads: int, full: float,
     return out
 
 
-def _normalize_prefix(g: Graph, prefix) -> tuple[tuple[int, int], ...]:
-    order = assignment_order(g)
+def _pins(g: Graph, prefix) -> tuple[tuple[int, int], ...]:
+    """``prefix`` as (vertex, label) pairs of ints, with distinct vertices
+    in 0..p-1 and distinct labels in 1..p."""
     pairs = tuple((as_int(v), as_int(lab)) for v, lab in prefix)
-    if [v for v, _ in pairs] != order[:len(pairs)]:
-        raise ValueError(
-            f"prefix must pin the first vertices in assignment order {order}")
-    labs = [lab for _, lab in pairs]
-    if len(set(labs)) != len(labs) or any(not 1 <= x <= g.order for x in labs):
+    vertices, labels = {v for v, _ in pairs}, {lab for _, lab in pairs}
+    if len(vertices) != len(pairs) or any(not 0 <= v < g.order for v in vertices):
+        raise ValueError("prefix vertices must be distinct values in 0..p-1")
+    if len(labels) != len(pairs) or any(not 1 <= x <= g.order for x in labels):
         raise ValueError("prefix labels must be distinct values in 1..p")
     return pairs
 
@@ -594,7 +597,12 @@ def search_sem(g: Graph, config: SearchConfig | None = None, *,
     cfg = config or SearchConfig()
     start = time.perf_counter()
     q = g.size
-    norm = None if prefix is None else _normalize_prefix(g, prefix)
+    norm = None if prefix is None else _pins(g, prefix)
+    if norm:
+        order = assignment_order(g)
+        if [v for v, _ in norm] != order[:len(norm)]:
+            raise ValueError(
+                f"prefix must pin the first vertices in assignment order {order}")
 
     def outcome(status, witness=None, obstruction=None, nodes=0):
         millis = round((time.perf_counter() - start) * 1000.0, 3)
@@ -638,8 +646,6 @@ def sem_set(g: Graph, budget: int = DEFAULT_BUDGET,
     # SearchConfig rejects a budget or thread count below 1
     threads = SearchConfig(budget=budget, threads=threads).resolved_threads()
     p, q = g.order, g.size
-    if q == 0:
-        raise ValueError("valence set undefined for an edgeless graph")
     if check_all(g) is not None:
         return ValenceSet((), True)
     interval = sem_interval(g)
@@ -673,8 +679,6 @@ def perfect_classification(interval: ValenceInterval,
 def is_perfect_sem(g: Graph, budget: int = DEFAULT_BUDGET,
                    threads: int | None = None) -> str:
     """Classify g by its valence interval and its realized valence set."""
-    if g.size == 0:
-        raise ValueError("perfect super edge-magicness undefined without edges")
     return perfect_classification(sem_interval(g), sem_set(g, budget, threads))
 
 
@@ -711,21 +715,14 @@ def oracle_search(g: Graph, *,
 
     start = time.perf_counter()
     p, q = g.order, g.size
-    pairs = list(prefix or ())
-    fixed = {as_int(v): as_int(lab) for v, lab in pairs}
-    if len(fixed) != len(pairs):
-        raise ValueError("prefix vertices must be distinct")
-    for v, lab in fixed.items():
-        if not (0 <= v < p and 1 <= lab <= p):
-            raise ValueError(f"prefix pair ({v}, {lab}) out of range")
-    if len(set(fixed.values())) != len(fixed):
-        raise ValueError("prefix labels must be distinct")
+    pins = _pins(g, prefix or ())
+    fixed = dict(pins)
     free_vertices = [v for v in range(p) if v not in fixed]
     if len(free_vertices) > _ORACLE_MAX_FREE:
         raise ValueError(
             f"oracle enumeration limited to {_ORACLE_MAX_FREE} free vertices, "
             f"got {len(free_vertices)}")
-    norm_prefix = tuple(sorted(fixed.items())) if fixed else None
+    norm_prefix = tuple(sorted(pins)) or None
     cfg = SearchConfig(use_obstructions=False, threads=1)
 
     def outcome(status, witness=None, valence_set=None, tested=0):

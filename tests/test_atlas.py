@@ -92,7 +92,7 @@ def test_split_count_is_that_of_one_sequential_search():
     for g in graphs:
         split = search_sem(g, SEQ)
         if split.status == STATUS_SEM:
-            whole = _run_task(_make_plan(g), 1, 0, (), DEFAULT_BUDGET)
+            whole = _run_task(_make_plan(g), 1, (), DEFAULT_BUDGET)
             [(at, _, witness)] = whole.valences.values()
             assert (whole.nodes, at, witness) == (
                 split.stats.nodes, split.stats.nodes,

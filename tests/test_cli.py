@@ -235,17 +235,11 @@ def _no_search(*args, **kwargs):
 _TEST_PID = os.getpid()
 
 
-_RUN_TASK = solver_mod._run_task
-
-
-def _exit_at_once(plan, full, idx, *rest):
-    # a pool worker dies at once. Only the first task may run in this
-    # process: at its first node it starts the pool
+def _exit_at_once(*args):
+    # a pool worker dies at once; this process runs no pool task
     if os.getpid() != _TEST_PID:
         os._exit(1)
-    if idx:
-        raise RuntimeError("a later task ran in the test process, not the pool")
-    return _RUN_TASK(plan, full, idx, *rest)
+    raise RuntimeError("a pool task ran in the test process")
 
 
 def test_solve_unwritable_cert_out_exits_3(tmp_path, capsys, monkeypatch):
@@ -282,7 +276,7 @@ def test_dead_worker_exits_4(capsys, monkeypatch):
     # a pool worker that dies breaks the pool (six live first labels, two
     # threads and a threshold of 0 nodes start one; an obstruction decides
     # nothing here); the forked workers inherit the patched task
-    monkeypatch.setattr(solver_mod, "_run_task", _exit_at_once)
+    monkeypatch.setattr(solver_mod, "_pool_task", _exit_at_once)
     monkeypatch.setattr(solver_mod, "_INLINE_NODES", 0)
     code, out, err = run(capsys, "solve", "--gen", "two-cycle", "3", "9",
                          "--threads", "2")
@@ -350,6 +344,14 @@ def test_graph_inputs(tmp_path, capsys):
     path.write_text("+3\n0 1\n")
     code, out, _ = run(capsys, "solve", str(path), "--threads", "1")
     assert code == 0 and "order 3, size 1" in out
+    # graph6 text takes comments and blank lines too, and holds one graph
+    g6path.write_text("# a triangle\nBw\n\n")
+    code, out, _ = run(capsys, "interval", str(g6path))
+    assert code == 0 and out.startswith("interval: [9, 9]")
+    g6path.write_text("Bw\nBw\n")
+    code, out, err = run(capsys, "interval", str(g6path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "more than one graph" in err
 
     code, _, err = run(capsys, "solve")
     assert code == 3 and "no graph" in err

@@ -57,6 +57,8 @@ def test_graph_json_round_trip():
                  {"order": 3, "edges": [[0]]}, {"order": 3, "edges": [5]}):
         with pytest.raises(GraphError):
             Graph.from_json_dict(data)
+    with pytest.raises(GraphError, match="bad graph JSON: 'edges'"):
+        Graph.from_json_dict({"order": 3})
 
 
 def test_make_cycle():
@@ -117,6 +119,8 @@ def test_cactus_flower_shares_one_vertex():
 
 
 def test_cactus_validation():
+    with pytest.raises(GraphError, match="at least one cycle"):
+        CactusSpec(())
     with pytest.raises(GraphError):
         CactusSpec((3, 2), ((0, 0),))
     with pytest.raises(GraphError):
@@ -161,6 +165,8 @@ def test_parse_edge_list():
         parse_edge_list("x y\n0 1\n")
     with pytest.raises(GraphError):
         parse_edge_list("3\n0 1 2\n")
+    with pytest.raises(GraphError, match="line 2: non-integer endpoint"):
+        parse_edge_list("3\n0 x\n")
     with pytest.raises(GraphError):
         parse_edge_list("")
 
@@ -202,6 +208,11 @@ def test_graph6_errors():
         parse_graph6("Bww")
     with pytest.raises(GraphError, match="padding bits must be zero"):
         parse_graph6("Bz")
+    # orders past 258047 take an 8-byte form, '~~' and six bytes
+    with pytest.raises(GraphError, match="orders beyond 258047"):
+        parse_graph6("~~??????")
+    with pytest.raises(GraphError, match="orders beyond 258047"):
+        to_graph6(Graph(258_048, ()))
 
 
 def test_parse_graph_dispatch():
@@ -209,6 +220,8 @@ def test_parse_graph_dispatch():
     assert parse_graph("3\n0 1\n", "edge-list").size == 1
     with pytest.raises(GraphError):
         parse_graph("Bw", "nonsense")
+    with pytest.raises(GraphError, match="unknown graph format 'nonsense'"):
+        serialize_graph(make_cycle(3), "nonsense")
 
 
 @st.composite

@@ -42,6 +42,7 @@ from semlab import (
     sem_set,
     verify_sem,
 )
+from semlab.graphs import parse_graph6
 import semlab.solver as solver_mod
 
 import helpers
@@ -57,7 +58,7 @@ def _first_labels(g) -> list[int]:
     a stand-in task that searches nothing."""
     seen = []
 
-    def record(plan, full, idx, prefix_labels, cap, handoff=None):
+    def record(plan, full, prefix_labels, cap, poll=None):
         seen.extend(prefix_labels)
         return solver_mod._TaskResult(0, 0, True, {})
 
@@ -252,37 +253,41 @@ def test_parallel_work_is_bounded_by_budget():
 
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
-    # one test per node serves the cap and, in a pool worker, the abort poll
-    # at every 4096th node; task 1 of C(3,9), first label 2, with 80,675
+    # one test per node serves the cap and the poll, at the first node and
+    # at every 4096th after it; task 1 of C(3,9), first label 2, with 80,675
     # nodes stops at exactly its cap on either side of a poll, with and
-    # without an abort box
+    # without a poll
     plan = solver_mod._make_plan(make_two_cycle(3, 9))
-    box = mp.Value("q", 10**6)
-    for abort in (None, box):
-        monkeypatch.setattr(solver_mod, "_WORKER_ABORT", abort)
+    polled = []
+
+    def never(nodes):
+        polled.append(nodes)
+        return False
+
+    for poll in (None, never):
         for cap in (4095, 4096, 4097, 8192):
-            res = solver_mod._run_task(plan, math.inf, 1, (2,), cap)
-            assert (res.nodes, res.exhausted) == (cap, False), (abort, cap)
-        res = solver_mod._run_task(plan, math.inf, 1, (2,), 10**9)
+            res = solver_mod._run_task(plan, math.inf, (2,), cap, poll)
+            assert (res.nodes, res.exhausted) == (cap, False), (poll, cap)
+        del polled[:]
+        res = solver_mod._run_task(plan, math.inf, (2,), 10**9, poll)
         assert (res.nodes, res.exhausted) == (80_675, True)
-    # a task whose index lies past the abort value quits at its first poll
-    box.value = 0
-    res = solver_mod._run_task(plan, math.inf, 1, (2,), 10**9)
-    assert (res.nodes, res.exhausted) == (1, False)
-
-    class AbortAfterFirstPoll:
-        # passes the poll at node 1, then tells the task to quit
-        polls = 0
-
-        @property
-        def value(self):
-            self.polls += 1
-            return 10**6 if self.polls == 1 else 0
-
-    # a poll passed moves the next one 4,096 nodes on, where the task quits
-    monkeypatch.setattr(solver_mod, "_WORKER_ABORT", AbortAfterFirstPoll())
-    res = solver_mod._run_task(plan, math.inf, 1, (2,), 10**9)
-    assert (res.nodes, res.exhausted) == (4_097, False)
+    assert polled == list(range(1, 80_676, 4096))
+    # a poll that returns True stops the task where it is called
+    for poll, at in ((lambda nodes: True, 1), (lambda nodes: nodes > 1, 4_097)):
+        res = solver_mod._run_task(plan, math.inf, (2,), 10**9, poll)
+        assert (res.nodes, res.exhausted) == (at, False)
+    # in a pool worker a task whose index lies past the abort value quits at
+    # its first node; one that stops short of its subtree, at its cap or at
+    # a witness (task 2, first label 3, at node 32,089), lowers the value to
+    # its index
+    box = mp.Value("q", 10**6)
+    monkeypatch.setattr(solver_mod, "_WORKER_ABORT", box)
+    for idx, full, cap, ends in ((1, math.inf, 10**9, (80_675, True, 10**6)),
+                                 (5, math.inf, 4_097, (4_097, False, 5)),
+                                 (6, math.inf, 10**9, (1, False, 5)),
+                                 (2, 1, 10**9, (32_089, False, 2))):
+        res = solver_mod._pool_task(plan, full, idx, (idx + 1,), cap)
+        assert (res.nodes, res.exhausted, box.value) == ends, idx
 
 
 # C(3,4) + C4, order 10: NOT_SEM after 27,773 nodes. Its two-cycle takes
@@ -329,17 +334,36 @@ def _twin_classes(g):
 
 def _automorphisms(g):
     """Every permutation of positions that keeps the edges and maps each
-    component's block of positions to itself, by brute force."""
+    component's block of positions to itself, from networkx's VF2 matcher."""
     pos = solver_mod._make_plan(g).pos
-    edges = {frozenset((pos[u], pos[v])) for u, v in g.edges}
     h = nx.empty_graph(g.order)
     h.add_edges_from(g.edges)
     block = {}
     for i, comp in enumerate(nx.connected_components(h)):
-        block.update((pos[v], i) for v in comp)
-    return [m for m in itertools.permutations(range(g.order))
-            if all(block[m[x]] == block[x] for x in range(g.order))
-            and {frozenset((m[a], m[b])) for a, b in edges} == edges]
+        block.update((v, i) for v in comp)
+    auts = []
+    for m in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+        if all(block[m[v]] == block[v] for v in h):
+            at = [0] * g.order
+            for v, w in m.items():
+                at[pos[v]] = pos[w]
+            auts.append(tuple(at))
+    return auts
+
+
+def _stabiliser_chain(g):
+    """The lead and follower count of each position: the lead of y is the
+    latest b whose orbit, under the automorphisms that fix every position
+    before b and map each component to itself, holds y; b's followers are
+    the rest of that orbit."""
+    auts = _automorphisms(g)
+    lead, follow = [g.order] * g.order, [0] * g.order
+    for b in range(g.order):
+        orbit = {m[b] for m in auts if m[:b] == tuple(range(b))}
+        follow[b] = len(orbit) - 1
+        for y in orbit - {b}:
+            lead[y] = b
+    return tuple(lead), tuple(follow)
 
 
 def _lead_chain(plan, y):
@@ -379,12 +403,10 @@ def test_leads_and_seams_stay_inside_component_blocks():
 
 
 def test_leads_are_the_stabiliser_chain_orbits():
-    # by brute force over every permutation, on every atlas graph of order
-    # at most 6 and chosen graphs of order 7: the lead of y is the latest b
-    # whose orbit, under the automorphisms that fix every position before b
-    # and map each component to itself, holds y, so an automorphism fixing
-    # the positions before b maps b to y; and b's followers are the rest of
-    # that orbit, so no orbit is missed
+    # on every atlas graph of order at most 6 and chosen graphs of order 7,
+    # an automorphism fixing the positions before a lead b maps b to each of
+    # its followers, and b's followers are the rest of b's orbit, so no
+    # orbit is missed
     graphs = [Graph(a.number_of_nodes(), tuple(a.edges()))
               for a in nx.graph_atlas_g()[1:209] if a.number_of_edges()]
     assert {g.order for g in graphs} == {2, 3, 4, 5, 6}
@@ -395,16 +417,22 @@ def test_leads_are_the_stabiliser_chain_orbits():
     moved = 0
     for g in graphs:
         plan = solver_mod._make_plan(g)
-        auts = _automorphisms(g)
-        lead, follow = [g.order] * g.order, [0] * g.order
-        for b in range(g.order):
-            orbit = {m[b] for m in auts if m[:b] == tuple(range(b))}
-            follow[b] = len(orbit) - 1
-            for y in orbit - {b}:
-                lead[y] = b
-        assert (plan.lead, plan.follow) == (tuple(lead), tuple(follow)), g
-        moved += sum(follow)
+        assert (plan.lead, plan.follow) == _stabiliser_chain(g), g
+        moved += sum(plan.follow)
     assert len(graphs) == 207 and moved == 559
+
+
+def test_leads_survive_a_failed_automorphism_candidate():
+    # on these regular graphs of order 10, cubic with 12 automorphisms and
+    # 4-regular with 2, the automorphism search individualizes a vertex whose
+    # every candidate image fails, and backs up; the leads are still the
+    # stabiliser-chain orbits, and each graph has a follower
+    for g6, count in (("ICIIaZ_K_", 12), ("ItOm_XXHo", 2), ("IK\\cdE[Po", 2)):
+        g = parse_graph6(g6)
+        plan = solver_mod._make_plan(g)
+        assert len(_automorphisms(g)) == count, g6
+        assert (plan.lead, plan.follow) == _stabiliser_chain(g), g6
+        assert sum(plan.follow), g6
 
 
 def test_automorphism_work_cap_keeps_every_answer(monkeypatch):
@@ -532,7 +560,7 @@ def test_split_counts_each_node_once():
         split = solver_mod._execute(g, 10**9, 1, math.inf).nodes
         plan = solver_mod._make_plan(g)
         live = min((g.order + 1) // 2, g.order - plan.follow[0])
-        pinned = sum(solver_mod._run_task(plan, math.inf, a - 1, (a,), 10**9).nodes
+        pinned = sum(solver_mod._run_task(plan, math.inf, (a,), 10**9).nodes
                      for a in range(1, live + 1))
         assert split == pinned, g
 
@@ -628,22 +656,24 @@ def test_pool_started_inside_a_task_changes_no_result(monkeypatch):
 
 
 def test_a_pool_started_deep_in_a_search_fits_its_workers_stacks():
-    # the hand-off may fork the workers deep in a search: on K(1,1500) the
-    # first task starts the pool at depth 1,400, and a worker's task,
-    # center label 2, goes 1,500 depths down its own stack
-    star = Graph(1501, tuple((0, v) for v in range(1, 1501)))
+    # the hand-off may fork the workers deep in a search: on K(1,5000) the
+    # first task's poll at node 4,097 starts the pool 4,096 depths down, and
+    # a worker's task, center label 2, goes 5,000 depths down its own stack
+    star = Graph(5001, tuple((0, v) for v in range(1, 5001)))
     plan = solver_mod._make_plan(star)
     nodes = []
 
-    def start_pool():
-        with concurrent.futures.ProcessPoolExecutor(1) as pool:
-            nodes.append(pool.submit(solver_mod._run_task, plan, 1, 1,
-                                     (2,), 10**6).result().nodes)
+    def start_pool(at):
+        if at > 1 and not nodes:
+            with concurrent.futures.ProcessPoolExecutor(1) as pool:
+                nodes.append(pool.submit(solver_mod._run_task, plan, 1, (2,),
+                                         10**6).result().nodes)
+        return False
 
-    res = solver_mod._run_task(plan, 1, 0, (1,), 10**6, (1_400, start_pool))
+    res = solver_mod._run_task(plan, 1, (1,), 10**6, start_pool)
     # the task stops at its first witness
     assert (res.nodes, res.exhausted, len(res.valences), nodes) == (
-        1_501, False, 1, [1_501])
+        5_001, False, 1, [5_001])
 
 
 def test_correctness_checks_survive_optimized_mode():
