@@ -25,8 +25,8 @@ from .graphs import (
     make_cactus,
     make_cycle,
     make_two_cycle,
-    parse_edge_list,
     parse_graph6,
+    read_graph,
 )
 from .labeling import (LabelingError, SemLabeling, dual_valence, sem_interval,
                        verify_sem)
@@ -118,19 +118,6 @@ def _gen_graph(args) -> Graph:
     raise CliError(f"unknown generator family {family!r}")
 
 
-def _parse_file(text: str) -> Graph:
-    """Comments and blank lines aside, graph6 text is one line that starts
-    with its header's '>' or a data byte, '?' to '~'; anything else is an
-    edge list, whose order int() parses or rejects."""
-    lines = [line for raw in text.splitlines()
-             if (line := raw.split("#", 1)[0].strip())]
-    if not lines or not ">" <= lines[0][0] <= "~":
-        return parse_edge_list(text)
-    if len(lines) > 1:
-        raise CliError(f"graph6 input holds more than one graph ({len(lines)} lines)")
-    return parse_graph6(lines[0])
-
-
 def load_graph(args) -> Graph:
     if args.attach is not None and not (args.gen and args.gen[0] == "cactus"):
         raise CliError("--attach applies only to --gen cactus")
@@ -139,12 +126,7 @@ def load_graph(args) -> Graph:
     if args.g6:
         return parse_graph6(args.g6)
     if args.path:
-        try:
-            with open(args.path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.path}: {exc}") from exc
-        return _parse_file(text)
+        return read_graph(_read(args.path))
     raise CliError("no graph given: use --gen, --g6, or a file path")
 
 
@@ -158,12 +140,9 @@ def _config(args, **flags) -> SearchConfig:
 
 
 def _load_certificate(path: str) -> SemLabeling:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:  # json raises these past the recursion limit or int()'s 4,300 digits
+        data = json.loads(_read(path))
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"parse: certificate {path} is not valid JSON: {exc}") from exc
     return SemLabeling.from_json_dict(data)
 
@@ -360,6 +339,14 @@ def cmd_render(args) -> int:
             lines.append(f"  {u} -- {v};")
     lines.append("}")
     return _emit(lines, args.output)
+
+
+def _read(path: str) -> str:
+    try:  # a ValueError is text that is not UTF-8
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:

@@ -216,18 +216,22 @@ def _cycle_partitions(total: int, minimum: int = 3) -> list[tuple[int, ...]]:
     return found
 
 
-# --- edge-list text format ---------------------------------------------
+# --- graph text ---------------------------------------------------------
 #
-# First non-comment line: vertex count p. Then one edge "u v" per line,
-# 0-based. '#' starts a comment, blank lines are skipped.
+# '#' starts a comment and blank lines are skipped. An edge list is its
+# vertex count p, then one 0-based edge "u v" per line; graph6 is one line.
+
+def _lines(text: str):
+    """(line number, content) for each line that holds more than a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
+
 
 def parse_edge_list(text: str) -> Graph:
     order = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         fields = line.split()
         if order is None:
             try:
@@ -263,7 +267,10 @@ _G6_HEADER = ">>graph6<<"
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    lines = [line for _, line in _lines(text)]
+    if len(lines) > 1:
+        raise GraphError(f"graph6 input holds more than one graph ({len(lines)} lines)")
+    s = lines[0] if lines else ""
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -273,11 +280,13 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError("graph6 byte out of range")
     if data[0] <= 62:
         n, body = data[0], data[1:]
-    elif len(data) >= 4 and data[1] <= 62:
+    elif data[1:2] == [63]:
+        raise GraphError("graph6 orders beyond 258047 are not supported")
+    elif len(data) < 4:
+        raise GraphError("truncated graph6 order header: '~' takes 3 more bytes")
+    else:
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         body = data[4:]
-    else:
-        raise GraphError("graph6 orders beyond 258047 are not supported")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphError(f"graph6 body length {len(body)} wrong for order {n}")
@@ -318,6 +327,13 @@ def to_graph6(g: Graph) -> str:
             x = (x << 1) | b
         body.append(x)
     return "".join(chr(x + 63) for x in prefix + body)
+
+
+def read_graph(text: str) -> Graph:
+    """Graph6 if the first content line starts with the header's '>' or a
+    data byte, '?' to '~'; else an edge list, whose order int() parses."""
+    first = next(_lines(text), (0, " "))[1]
+    return (parse_graph6 if ">" <= first[0] <= "~" else parse_edge_list)(text)
 
 
 _FORMATS = ("edge-list", "graph6")

@@ -722,7 +722,7 @@ def oracle_search(g: Graph, *,
         raise ValueError(
             f"oracle enumeration limited to {_ORACLE_MAX_FREE} free vertices, "
             f"got {len(free_vertices)}")
-    norm_prefix = tuple(sorted(pins)) or None
+    norm_prefix = None if prefix is None else tuple(sorted(pins))
     cfg = SearchConfig(use_obstructions=False, threads=1)
 
     def outcome(status, witness=None, valence_set=None, tested=0):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,15 @@ def test_input_errors_exit_3(tmp_path, capsys):
     comment.write_text("# nothing but a comment\n")
     dashes.write_text("--5\n0 1\n")
     cactus = ["solve", "--gen", "cactus", "3", "3", "--attach"]
+    # files that are not UTF-8, and certificates that json cannot decode:
+    # nesting past the recursion limit, a valence past int()'s 4,300 digits
+    latin1, nested = tmp_path / "latin1.el", tmp_path / "nested.json"
+    huge = tmp_path / "huge.json"
+    latin1.write_bytes(b"3\n0 1 # caf\xe9\n")
+    nested.write_text("[" * 100_000)
+    huge.write_text('{"vertex_labels": [1, 2, 3], "edge_labels": [], '
+                    '"valence": 1' + "0" * 5_000 + "}")
+    triangle = ["--gen", "cycle", "3", "--cert"]
     for argv, message in (
             (["solve", "--gen", "cycle", "5", "6"], "takes exactly one length"),
             (["solve", "--gen", "two-cycle", "3"], "takes exactly two lengths"),
@@ -114,7 +124,12 @@ def test_input_errors_exit_3(tmp_path, capsys):
             ([*cactus, "0:--1"], "bad attachment '0:--1'"),
             ([*cactus, "0:\u00b2"], "bad attachment '0:\u00b2'"),
             ([*cactus, "0"], "bad attachment '0'"),
-            (["solve", str(dashes)], "expected vertex count, got '--5'")):
+            (["solve", str(dashes)], "expected vertex count, got '--5'"),
+            (["solve", str(latin1)], "cannot read"),
+            (["check", *triangle, str(latin1)], "cannot read"),
+            (["render", *triangle, str(latin1)], "cannot read"),
+            (["check", *triangle, str(nested)], "not valid JSON"),
+            (["check", *triangle, str(huge)], "not valid JSON")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: ") and message in err, (argv, err)
@@ -397,6 +412,16 @@ def test_option_inventory():
     for module in Path(cli_mod.__file__).parent.glob("*.py"):
         text = module.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, module.name
+
+
+def test_one_reader_and_one_writer():
+    # cli.py opens files in _read and _write alone, so that every file read
+    # and written takes one rule for what it cannot decode or write
+    text = Path(cli_mod.__file__).read_text(encoding="utf-8")
+    chunks = text.split("\ndef ")
+    openers = [chunk.partition("(")[0] for chunk in chunks
+               if re.search(r"(?<![\w.])open\(", chunk)]
+    assert openers == ["_read", "_write"]
 
 
 def test_gen_cactus(capsys):

@@ -211,6 +211,10 @@ def test_graph6_errors():
     # orders past 258047 take an 8-byte form, '~~' and six bytes
     with pytest.raises(GraphError, match="orders beyond 258047"):
         parse_graph6("~~??????")
+    # '~' opens a 4-byte header: cut short, it is no order at all
+    for text in ("~", "~?", "~??", "~?@"):
+        with pytest.raises(GraphError, match="truncated graph6 order header"):
+            parse_graph6(text)
     with pytest.raises(GraphError, match="orders beyond 258047"):
         to_graph6(Graph(258_048, ()))
 
@@ -218,6 +222,10 @@ def test_graph6_errors():
 def test_parse_graph_dispatch():
     assert parse_graph("Bw", "graph6").order == 3
     assert parse_graph("3\n0 1\n", "edge-list").size == 1
+    # graph6 text takes comments and blank lines, and holds one graph
+    assert parse_graph("# a triangle\nBw\n", "graph6") == make_cycle(3)
+    with pytest.raises(GraphError, match="more than one graph"):
+        parse_graph("Bw\nBw\n", "graph6")
     with pytest.raises(GraphError):
         parse_graph("Bw", "nonsense")
     with pytest.raises(GraphError, match="unknown graph format 'nonsense'"):

@@ -1218,6 +1218,9 @@ def test_outcome_json_shape():
     assert [o.to_json_dict()["config"]["prefix"] for o in outs] == [[], None]
     out = search_sem(make_cycle(5), SEQ, prefix=[(0, 1)])
     assert out.to_json_dict()["config"]["prefix"] == [[0, 1]]
+    # the oracle reports a prefix by the same rule: None only when none is given
+    assert [oracle_search(k5, prefix=prefix).to_json_dict()["config"]["prefix"]
+            for prefix in ((), None, [(0, 1)])] == [[], None, [[0, 1]]]
 
 
 def test_config_validation():
