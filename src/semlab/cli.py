@@ -193,8 +193,7 @@ def cmd_solve(args) -> int:
             print(f"edge labels: {[list(t) for t in out.witness.edge_labels]}")
         if out.interval:
             print(f"valence interval: {out.interval.to_json()}")
-        print(f"stats: nodes={out.stats.nodes} labelings={out.stats.labelings} "
-              f"millis={out.stats.millis}")
+        print("stats:", *(f"{k}={v}" for k, v in out.stats._asdict().items()))
     return _EXIT_BY_STATUS[out.status]
 
 

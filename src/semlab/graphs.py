@@ -8,7 +8,10 @@ is immutable after construction and safe to share across worker processes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
+
+# graph6's limit, and the most vertices any graph here may have
+MAX_ORDER = 258_047
 
 
 class GraphError(ValueError):
@@ -26,32 +29,65 @@ def as_int(x, error: type[ValueError] = ValueError) -> int:
     raise error(f"{x!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Immutable record: ``__slots__`` names the fields in constructor order,
+    ``__init__`` checks its arguments, ``_init`` sets them, unpickling rechecks."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (self._values() == other._values() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Graph(Record):
     """Simple undirected graph on vertices 0..order-1.
 
     Edges are stored canonically: endpoints sorted within each pair and the
     pairs sorted overall, so two graphs are equal iff they have the same
-    vertex count and edge set. Loops and repeated edges are rejected.
-    Disconnected graphs (including isolated vertices) are fine.
+    vertex count and edge set. Loops and repeated edges are rejected, and
+    so are orders past MAX_ORDER. Disconnected graphs are fine.
     """
 
-    order: int
-    edges: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("order", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", as_int(self.order, GraphError))
-        if self.order < 0:
+    def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()):
+        order = as_int(order, GraphError)
+        if order < 0:
             raise GraphError("vertex count must be non-negative")
+        if order > MAX_ORDER:
+            raise GraphError(f"orders beyond {MAX_ORDER} are not supported, got {order}")
         seen = set()
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge {e!r} is not two endpoints") from None
             u, v = as_int(u, GraphError), as_int(v, GraphError)
-            if not (0 <= u < self.order and 0 <= v < self.order):
-                raise GraphError(f"edge {(u, v)} out of range for order {self.order}")
+            if not (0 <= u < order and 0 <= v < order):
+                raise GraphError(f"edge {(u, v)} out of range for order {order}")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
             if u > v:
@@ -59,7 +95,7 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge {(u, v)}")
             seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        self._init(order, tuple(sorted(seen)))
 
     @property
     def size(self) -> int:
@@ -99,7 +135,7 @@ def make_cycle(n: int) -> Graph:
     """Cycle graph C_n on vertices 0..n-1 in cyclic order."""
     if n < 3:
         raise GraphError(f"cycle length must be >= 3, got {n}")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def make_two_cycle(m: int, n: int) -> Graph:
@@ -113,8 +149,7 @@ def make_two_cycle(m: int, n: int) -> Graph:
     return make_cactus(CactusSpec((m, n), ((0, 0),)))
 
 
-@dataclass(frozen=True)
-class CactusSpec:
+class CactusSpec(Record):
     """Blueprint for a connected graph whose blocks are all cycles.
 
     ``cycle_lengths[i]`` is the length of the i-th cycle. For each cycle
@@ -124,25 +159,27 @@ class CactusSpec:
     when it has one). Several cycles may share a cut vertex.
     """
 
-    cycle_lengths: tuple[int, ...]
-    attachments: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("cycle_lengths", "attachments")
 
-    def __post_init__(self):
-        if not self.cycle_lengths:
+    def __init__(self, cycle_lengths: tuple[int, ...],
+                 attachments: tuple[tuple[int, int], ...] = ()):
+        if not cycle_lengths:
             raise GraphError("cactus spec needs at least one cycle")
-        for length in self.cycle_lengths:
+        for length in cycle_lengths:
             if length < 3:
                 raise GraphError(f"cycle length must be >= 3, got {length}")
-        if len(self.attachments) != len(self.cycle_lengths) - 1:
+        if len(attachments) != len(cycle_lengths) - 1:
             raise GraphError(
-                f"need {len(self.cycle_lengths) - 1} attachments for "
-                f"{len(self.cycle_lengths)} cycles, got {len(self.attachments)}"
+                f"need {len(cycle_lengths) - 1} attachments for "
+                f"{len(cycle_lengths)} cycles, got {len(attachments)}"
             )
-        for i, (c, pos) in enumerate(self.attachments, start=1):
+        for i, (c, pos) in enumerate(attachments, start=1):
             if not 0 <= c < i:
                 raise GraphError(f"cycle {i} attaches to {c}, not an earlier cycle")
-            if not 0 <= pos < self.cycle_lengths[c]:
+            if not 0 <= pos < cycle_lengths[c]:
                 raise GraphError(f"position {pos} out of range on cycle {c}")
+        Graph(sum(cycle_lengths) - len(attachments))  # within MAX_ORDER
+        self._init(cycle_lengths, attachments)
 
 
 def make_cactus(spec: CactusSpec) -> Graph:
@@ -281,7 +318,7 @@ def parse_graph6(text: str) -> Graph:
     if data[0] <= 62:
         n, body = data[0], data[1:]
     elif data[1:2] == [63]:
-        raise GraphError("graph6 orders beyond 258047 are not supported")
+        raise GraphError(f"graph6 orders beyond {MAX_ORDER} are not supported")
     elif len(data) < 4:
         raise GraphError("truncated graph6 order header: '~' takes 3 more bytes")
     else:
@@ -307,8 +344,6 @@ def parse_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     n = g.order
-    if n > 258047:
-        raise GraphError("graph6 orders beyond 258047 are not supported")
     if n <= 62:
         prefix = [n]
     else:

@@ -13,9 +13,8 @@ here too, in the last section.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, as_int
 
@@ -53,8 +52,7 @@ def complement_labeling(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(p + 1 - x for x in labels)
 
 
-@dataclass(frozen=True)
-class SemLabeling:
+class SemLabeling(NamedTuple):
     """A full super edge-magic labeling: the checkable certificate.
 
     ``edge_labels`` holds (u, v, label) triples covering every edge once;
@@ -67,11 +65,9 @@ class SemLabeling:
     valence: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertex_labels": list(self.vertex_labels),
-            "edge_labels": [list(t) for t in self.edge_labels],
-            "valence": self.valence,
-        }
+        return {"vertex_labels": list(self.vertex_labels),
+                "edge_labels": [list(t) for t in self.edge_labels],
+                "valence": self.valence}
 
     @staticmethod
     def from_json_dict(data: dict) -> "SemLabeling":
@@ -117,8 +113,7 @@ REASON_LABEL_UNION = "labels not a bijection onto 1..p+q"
 REASON_VALENCE = "non-constant valence"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
@@ -183,8 +178,7 @@ def rearrangement_extremes(degrees: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ValenceInterval:
+class ValenceInterval(NamedTuple):
     """Integer interval [ceil(min), floor(max)] of would-be valences."""
 
     lo: int

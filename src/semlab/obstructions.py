@@ -7,8 +7,8 @@ deliberately incomplete. All arithmetic is exact (integers and Fractions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import Graph, degree_sequence
 from .labeling import edge_label_total, sem_interval
@@ -18,15 +18,13 @@ DEGSEQ_4_2_EVEN_ORDER = "DEGSEQ_4_2_EVEN_ORDER"
 VALENCE_INTEGRALITY = "VALENCE_INTEGRALITY"
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     rule: str
     justification: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def to_json_dict(self) -> dict:
-        return {"rule": self.rule, "justification": self.justification,
-                "params": dict(self.params)}
+        return {**self._asdict(), "params": dict(self.params)}
 
 
 def check_even_degree_parity(g: Graph) -> ObstructionVerdict | None:
@@ -111,7 +109,8 @@ def check_valence_integrality(g: Graph) -> ObstructionVerdict | None:
         a_max = n_hi * (2 * p - n_hi + 1) // 2
         base = d_lo * (p * (p + 1) // 2) + edge_label_total(p, q)
         step = d_hi - d_lo
-        if any((base + step * a) % q == 0 for a in range(a_min, a_max + 1)):
+        # numerators repeat mod q with period q in A: q masses decide
+        if any((base + step * a) % q == 0 for a in range(a_min, min(a_max + 1, a_min + q))):
             return None
         return ObstructionVerdict(
             VALENCE_INTEGRALITY,

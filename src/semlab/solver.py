@@ -56,9 +56,9 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .graphs import Graph, as_int
+from .graphs import Graph, Record, as_int
 from .labeling import (SemLabeling, ValenceInterval, dual_valence,
                        extend_to_sem, sem_interval, verify_sem)
 from .obstructions import ObstructionVerdict, check_all
@@ -77,8 +77,7 @@ DEFAULT_BUDGET = 10**9
 _INLINE_NODES = 1 << 19
 
 
-@dataclass(frozen=True)
-class ValenceSet:
+class ValenceSet(NamedTuple):
     """Valences realized by actual labelings; ``complete`` is False when a
     budget cut means further valences may exist."""
 
@@ -89,29 +88,27 @@ class ValenceSet:
         return list(self.values)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     labelings: int
     millis: float
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    use_obstructions: bool = True
-    budget: int = DEFAULT_BUDGET
-    threads: int | None = None  # None = all CPUs this process may run on
+class SearchConfig(Record):
+    __slots__ = ("use_obstructions", "budget", "threads")
 
-    def __post_init__(self):
-        if not isinstance(self.use_obstructions, bool):
+    def __init__(self, use_obstructions: bool = True, budget: int = DEFAULT_BUDGET,
+                 threads: int | None = None):  # None: every CPU it may run on
+        if not isinstance(use_obstructions, bool):
             raise ValueError("use_obstructions must be True or False")
-        object.__setattr__(self, "budget", as_int(self.budget))
-        if self.budget < 1:
+        budget = as_int(budget)
+        if budget < 1:
             raise ValueError("budget must be a positive node count")
-        if self.threads is not None:
-            object.__setattr__(self, "threads", as_int(self.threads))
-            if self.threads < 1:
+        if threads is not None:
+            threads = as_int(threads)
+            if threads < 1:
                 raise ValueError("threads must be >= 1")
+        self._init(use_obstructions, budget, threads)
 
     def resolved_threads(self) -> int:
         # os.cpu_count() counts CPUs that an affinity mask may bar
@@ -119,8 +116,7 @@ class SearchConfig:
         return self.threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     graph: Graph
     status: str
     witness: SemLabeling | None
@@ -139,8 +135,7 @@ class SearchOutcome:
             "obstruction": self.obstruction.to_json_dict() if self.obstruction else None,
             "interval": self.interval.to_json() if self.interval else None,
             "valence_set": self.valence_set.to_json() if self.valence_set else None,
-            "stats": {"nodes": self.stats.nodes, "labelings": self.stats.labelings,
-                      "millis": self.stats.millis},
+            "stats": self.stats._asdict(),
             "config": {
                 "use_obstructions": self.config.use_obstructions,
                 "budget": self.config.budget,
@@ -182,8 +177,7 @@ def assignment_order(g: Graph) -> list[int]:
 
 # --- search plan: static per-graph data shared by all tasks ---------------
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     p: int
     q: int
     # position of each vertex in assignment order
@@ -308,8 +302,7 @@ def _make_plan(g: Graph) -> _Plan:
         lead=tuple(lead), follow=tuple(follow))
 
 
-@dataclass(frozen=True)
-class _TaskResult:
+class _TaskResult(NamedTuple):
     """One subtree's search. A task that stops once its valences suffice, or
     at its cap, has not ``exhausted`` it."""
 
@@ -453,14 +446,14 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
 
 # --- task construction and the in-order streaming executor ----------------
 
-@dataclass
 class _EngineResult:
-    nodes: int = 0  # at a cut, the budget
-    labelings: int = 0
-    witness: tuple[int, ...] | None = None
-    valences: set[int] = field(default_factory=set)
-    exceeded: bool = False
-    visited: int = 0  # nodes visited by every task that ran, discarded too
+    def __init__(self):
+        self.nodes = 0  # at a cut, the budget
+        self.labelings = 0
+        self.witness: tuple[int, ...] | None = None
+        self.valences: set[int] = set()
+        self.exceeded = False
+        self.visited = 0  # nodes visited by every task that ran, discarded too
 
 
 # tasks submitted ahead of the replay per worker; bounds the work discarded
@@ -489,7 +482,7 @@ def _execute(g: Graph, budget: int, threads: int, full: float,
     if prefix is not None:
         # a prefix may pin a lead's followers below it, and () promises
         # every bijection: the lead rule is off
-        plan = replace(plan, lead=(plan.p,) * plan.p, follow=(0,) * plan.p)
+        plan = plan._replace(lead=(plan.p,) * plan.p, follow=(0,) * plan.p)
     closed: set[int] = set()  # the valences replayed and their duals
     # complement symmetry: f and p+1-f give consecutive edge sums together,
     # so first labels up to (p+1)//2 meet every labeling or its complement.
@@ -549,7 +542,7 @@ def _execute(g: Graph, budget: int, threads: int, full: float,
                 closed.update((k, dual_valence(plan.p, plan.q, k)))
                 if len(closed) >= full:
                     # a sequential search stops at this labeling
-                    res = replace(res, nodes=at, labelings=labelings)
+                    res = res._replace(nodes=at, labelings=labelings)
                     out.witness, found = witness, True
                     break
             if not found and (not res.exhausted or res.nodes > left):

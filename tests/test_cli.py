@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -101,6 +100,8 @@ def test_input_errors_exit_3(tmp_path, capsys):
     comment, dashes = tmp_path / "comment.el", tmp_path / "dashes.el"
     comment.write_text("# nothing but a comment\n")
     dashes.write_text("--5\n0 1\n")
+    million = tmp_path / "million.el"  # a graph of a million vertices
+    million.write_text("1000000\n")
     cactus = ["solve", "--gen", "cactus", "3", "3", "--attach"]
     # files that are not UTF-8, and certificates that json cannot decode:
     # nesting past the recursion limit, a valence past int()'s 4,300 digits
@@ -125,6 +126,8 @@ def test_input_errors_exit_3(tmp_path, capsys):
             ([*cactus, "0:\u00b2"], "bad attachment '0:\u00b2'"),
             ([*cactus, "0"], "bad attachment '0'"),
             (["solve", str(dashes)], "expected vertex count, got '--5'"),
+            (["solve", str(million)], "orders beyond 258047"),
+            (["solve", "--gen", "cycle", "300000"], "orders beyond 258047"),
             (["solve", str(latin1)], "cannot read"),
             (["check", *triangle, str(latin1)], "cannot read"),
             (["render", *triangle, str(latin1)], "cannot read"),
@@ -137,11 +140,13 @@ def test_input_errors_exit_3(tmp_path, capsys):
 
 
 def test_cli_leaves_numpy_unimported():
-    # only the oracle needs numpy, and no command runs the oracle
+    # only the oracle needs numpy, and no command runs the oracle; no module
+    # needs dataclasses, whose import of inspect costs every call start-up
     code = ("import sys, semlab.cli\n"
-            "assert 'numpy' not in sys.modules, 'on import'\n"
+            "unused = lambda: {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "assert not unused(), ('on import', unused())\n"
             "semlab.cli.main(['solve', '--gen', 'cycle', '5', '--threads', '1'])\n"
-            "assert 'numpy' not in sys.modules, 'after solve'\n")
+            "assert not unused(), ('after solve', unused())\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -406,7 +411,7 @@ def test_option_inventory():
                     for a in sub._actions if a.dest != "help"]
              for name, sub in subs.choices.items()}
     assert found == OPTIONS
-    assert [f.name for f in dataclasses.fields(solver_mod.SearchConfig)] == [
+    assert list(solver_mod.SearchConfig.__slots__) == [
         "use_obstructions", "budget", "threads"]
     # nor does any setting come from the environment
     for module in Path(cli_mod.__file__).parent.glob("*.py"):

@@ -48,6 +48,16 @@ def test_graph_normalizes_and_validates():
     assert type(g.order) is type(g.edges[0][0]) is int
 
 
+def test_order_limit():
+    # graph6's limit holds for every graph, so no input can ask for more
+    assert Graph(258_047).order == 258_047
+    for build in (lambda: Graph(258_048), lambda: make_cycle(258_048),
+                  lambda: CactusSpec((258_046, 3), ((0, 0),))):
+        with pytest.raises(GraphError, match="orders beyond 258047"):
+            build()
+    assert CactusSpec((258_045, 3), ((0, 0),)).cycle_lengths == (258_045, 3)
+
+
 def test_graph_json_round_trip():
     g = make_two_cycle(3, 4)
     assert Graph.from_json_dict(g.to_json_dict()) == g

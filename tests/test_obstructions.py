@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from semlab import (
     STATUS_NOT_SEM_EXHAUSTED,
     STATUS_SEM,
 )
+from semlab.labeling import edge_label_total
 
 import helpers
 
@@ -129,6 +131,31 @@ def test_valence_integrality_three_distinct_empty_window():
     assert v.params["max_valence"] == [402, 13]
     assert v.justification == ("no integer lies between the minimum and "
                                "maximum would-be valences 391/13 and 402/13")
+
+
+def test_valence_integrality_tests_one_period_of_masses():
+    # masses A and A + q give numerators equal mod q, so q masses decide:
+    # 2,002 disjoint K(1,3) stars (order 8,008) have ~12 million masses, and
+    # the verdict still reports the full range
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    v = check_all(disjoint_union(*[star] * 2002))
+    assert v.rule == VALENCE_INTEGRALITY
+    assert v.params == {"numerator_base": 98_203_105, "numerator_step": 2,
+                        "mass_range": [2_005_003, 14_029_015], "size": 6_006}
+    # the same verdicts as testing every mass, on s stars K(1,k) and t
+    # disjoint edges, where the range spans more than q masses
+    fired = set()
+    for k, s, t in itertools.product(range(2, 6), range(1, 6), range(6)):
+        g = disjoint_union(*[Graph(k + 1, tuple((0, v) for v in range(1, k + 1)))] * s,
+                           *[Graph(2, ((0, 1),))] * t)
+        p, q = g.order, g.size
+        base = p * (p + 1) // 2 + edge_label_total(p, q)
+        masses = range(s * (s + 1) // 2, s * (2 * p - s + 1) // 2 + 1)
+        assert len(masses) > q
+        full = all((base + (k - 1) * a) % q for a in masses)
+        assert (check_valence_integrality(g) is not None) == full, (k, s, t)
+        fired.add(full)
+    assert fired == {False, True}
 
 
 def test_check_all_order():

@@ -3,13 +3,13 @@ import itertools
 import math
 import multiprocessing as mp
 import os
+import pickle
 import random
 import subprocess
 import sys
 import textwrap
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from semlab import (
+    CactusSpec,
     Graph,
     SearchConfig,
     STATUS_NOT_SEM_EXHAUSTED,
@@ -647,8 +648,8 @@ def test_pool_started_inside_a_task_changes_no_result(monkeypatch):
                 engine = solver_mod._execute(g, budget, threads, full)
                 # 3C3's 2,223 nodes stay below 100,000
                 assert len(started) == (g is not C3_C3_C3 or at < 2_223)
-                assert replace(engine, visited=0) == replace(serial, visited=0), (
-                    g, budget, at, threads)
+                assert ({**vars(engine), "visited": 0}
+                        == {**vars(serial), "visited": 0}), (g, budget, at, threads)
                 if g is C6_C34:
                     # an exhausted search replays every task it ran, and
                     # each node visited counts once: none ran twice
@@ -1239,3 +1240,33 @@ def test_config_validation():
             SearchConfig(use_obstructions=value)
     cfg = SearchConfig(budget=np.int64(10**6), threads=np.int8(1))
     assert type(cfg.budget) is type(cfg.threads) is int
+
+
+def test_records_are_immutable_values():
+    # the three records that check their input: fixed fields, equal and
+    # hashed by type and value, named in repr, and rebuilt by unpickling
+    for make, fields in (
+            (lambda: Graph(3, ((1, 0), (1, 2))), ("order", "edges")),
+            (lambda: CactusSpec((3, 4), ((0, 1),)), ("cycle_lengths", "attachments")),
+            (lambda: SearchConfig(budget=7, threads=1),
+             ("use_obstructions", "budget", "threads"))):
+        record, twin = make(), make()
+        assert type(record).__slots__ == fields
+        assert record == twin and hash(record) == hash(twin)
+        assert record != make_cycle(3) and record != SearchConfig()
+        assert pickle.loads(pickle.dumps(record)) == record
+        text = repr(record)
+        assert text.startswith(type(record).__name__ + "(")
+        for name in fields:
+            assert f"{name}={getattr(record, name)!r}" in text
+            for change in (lambda: setattr(record, name, 1),
+                           lambda: delattr(record, name)):
+                with pytest.raises(AttributeError):
+                    change()
+        assert record == twin
+    g = Graph(3, ((0, 1),))
+    assert g != (3, ((0, 1),)) and g != SearchConfig()
+    # unpickling calls the constructor, which checks the fields again
+    assert g.__reduce__() == (Graph, (3, ((0, 1),)))
+    out = search_sem(make_two_cycle(4, 4), SEQ)
+    assert pickle.loads(pickle.dumps(out)) == out
