@@ -4,16 +4,17 @@ The search assigns labels 1..p to vertices in a fixed static order, one
 component after another (descending degree, ties by index, within each).
 After each assignment every fully labeled edge contributes an endpoint sum;
 a branch dies as soon as a sum repeats or the sums stop fitting in a window
-of q consecutive integers. A label's new sums are tested against the placed
-sums and the window before any is marked, so a branch that dies leaves
-nothing to undo. A graph with more than 2p-3 edges has no labeling at all
-(Enomoto, Lladó, Nakamigawa & Ringel 1998), so there the window has width
--1 and every edge placed kills its branch. Any bijection that survives is
-extendable (q distinct sums inside a width-(q-1) window must be
-consecutive). Past the last vertex with an edge every fill of the unused
-labels survives, so reaching the leaf depth, the last one with an edge (or
-the last pinned one, if deeper), is a witness: its ascending fill is the
-least of the labelings that node stands for.
+of q consecutive integers. Free labels and used sums are bit masks, so one
+mask operation per earlier neighbour finds every label of a depth that
+survives, the dead ones are counted in bulk, and backing up restores a
+saved state and undoes nothing. A graph with more than 2p-3 edges has no
+labeling at all (Enomoto, Lladó, Nakamigawa & Ringel 1998), so there the
+window has width -1 and every edge placed kills its branch. Any bijection
+that survives is extendable (q distinct sums inside a width-(q-1) window
+must be consecutive). Past the last vertex with an edge every fill of the
+unused labels survives, so reaching the leaf depth, the last one with an
+edge (or the last pinned one, if deeper), is a witness: its ascending fill
+is the least of the labelings that node stands for.
 
 An automorphism of a component keeps every edge sum, so the search takes
 one labeling per orbit, its lex-leader (Crawford, Ginsberg, Luks & Roy, KR
@@ -72,7 +73,7 @@ STATUS_TRIVIAL_EDGELESS = "TRIVIAL_EDGELESS"
 DEFAULT_BUDGET = 10**9
 
 # nodes visited in this process before a search starts a worker pool:
-# 0.2-0.3 s of one core, more than most of the paper's searches take,
+# 0.07-0.15 s of one core, more than most of the paper's searches take,
 # while a pool costs ~15 ms to start and ~18 ms of imports (2-vCPU VM)
 _INLINE_NODES = 1 << 19
 
@@ -342,26 +343,30 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
     first reaches each valence, with that leaf's labeling, and stops at the
     leaf where its valences and their duals number ``full``: 1 stops at the
     first witness, math.inf never. ``poll(nodes)``, called at the first node
-    and at every 4096th after it, stops the task when it returns True. The
-    search keeps its own stack, one entry per depth, so no depth costs a
-    Python frame."""
-    p, q, earlier, pos = plan.p, plan.q, plan.earlier, plan.pos
-    lead, follow = plan.lead, plan.follow
+    and at every 4096th after it, stops the task when it returns True.
+
+    Label and sum sets are int masks, bit l for l. One mask operation per
+    earlier neighbour finds all of a depth's survivors, the candidates whose
+    new sums are unused and keep the window, visited in ascending order. The
+    dead candidates are counted in bulk, those below a survivor as it is
+    visited and the rest as the depth ends: they change nothing, so a cap or
+    a poll that falls among them falls on its exact node. The search keeps
+    its own stack of saved states, so backing up undoes nothing and no depth
+    costs a Python frame."""
+    p, q, pos = plan.p, plan.q, plan.pos
     # the edge sums must fit a window of width q-1. A graph with more than
     # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
     # edge placed ends its branch
     q1 = q - 1 if q <= 2 * p - 3 else -1
-
-    used_label = bytearray(p + 2)
-    used_sum = bytearray(2 * p + 2)
+    fresh = -1 if q1 >= 0 else 0  # the sums the first edge placed may take
+    # per depth: lead, followers, first earlier neighbour (or -1), the rest
+    steps = tuple((lead, f, es[0] if es else -1, es[1:])
+                  for lead, f, es in zip(plan.lead, plan.follow, plan.earlier))
     labels_at = [0] * (p + 1)  # labels_at[p], "no lead", stays 0
-
-    # one test per node serves the cap and the poll: due is the sooner
-    due = cap if poll is None else 0
-    # pinned depths try only their label, the others one shared tuple (a
-    # range makes a new int for each label above 256 that it yields)
     start = len(prefix_labels)
-    choices = [(lab,) for lab in prefix_labels] + [tuple(range(1, p + 1))] * (p - start)
+    pins = [1 << lab for lab in prefix_labels]
+    # one test per count serves the cap and the poll: due is the sooner
+    due = cap if poll is None else 0
     # past the last edge any fill of the unused labels works, so the leaf is
     # the last depth with an edge, or the last pinned one if deeper. Its
     # ascending fill is the least of the (p-1-leaf)! completions it stands for
@@ -371,77 +376,92 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
     valences: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     closed: set[int] = set()  # the valences reached and their duals
 
-    # per depth d: the labels it has yet to try, set on each descent to d,
-    # and the window of the sums placed above it. The lead rule keeps only
-    # labels above the lead's and, at a base with f followers, only those
-    # with f free labels above them, uncounted outside (islice: the shared
-    # tuple is not copied); the cap falls by the used labels above it until
-    # it stands still. Position 0 takes what the split hands it
-    todo = [iter(choices[0])] * p
-    low, high, d = [2 * p + 1] * p, [0] * p, 0
+    # depth d's state: candidates and survivors not yet visited, free labels
+    # and used sums above it, earlier neighbours' labels. Depth -1 is the
+    # root, with 1..p free: the search descends below it as below label lab
+    stack = []
+    d, cand, alive, free, sums, nb, bit, lab = -1, 0, 0, (2 << p) - 2, 0, 0, 0, 0
     while True:
-        earlier_d, cmin, cmax = earlier[d], low[d], high[d]
-        for lab in todo[d]:
-            if used_label[lab]:
-                continue
-            nodes += 1
-            if nodes > due:
-                if nodes > cap:
-                    return _TaskResult(cap, labelings, False, valences)
-                if poll(nodes):
-                    return _TaskResult(nodes, labelings, False, valences)
-                due = min(cap, nodes + 4095)
-            # the new sums differ as the earlier labels do, which stay put
-            # while this depth is live: test them all, then mark them
-            new_min, new_max = cmin, cmax
-            for j in earlier_d:
-                s = lab + labels_at[j]
-                if used_sum[s]:
-                    break
-                if s < new_min:
-                    new_min = s
-                if s > new_max:
-                    new_max = s
+        # depth e's candidates: free labels above its lead's; at a base with
+        # f followers, those with f free labels above them (the cap falls by
+        # the ones it lacks until it stands still); at a pinned depth, its pin
+        e = d + 1
+        free_e = free ^ bit
+        sums_e = sums | nb << lab
+        lead_e, f, first, rest = steps[e]
+        c = free_e & -(2 << labels_at[lead_e])
+        if f:
+            top = free_e.bit_length() - 1 - f
+            while (short := f - (free_e >> top + 1).bit_count()) > 0:
+                top -= short
+            c &= (2 << top) - 1
+        if e < start:
+            c &= pins[e]
+        # its survivors: each new sum lab + b, for b an earlier neighbour's
+        # label, is in ok, the unused sums within q1 of every placed one (so
+        # lab is in ok >> b), and the new sums are within q1 of each other
+        a, nb_e = c, 0
+        if first >= 0:
+            if sums_e:
+                low = sums_e.bit_length() - 1 - q1
+                ok = ~sums_e & (1 << (sums_e & -sums_e).bit_length() + q1) - (
+                    1 << low if low > 0 else 1)
             else:
-                # a node that places no edge keeps a window that passed:
-                # its parent's, or the empty one, 0 - (2p+1)
-                if new_max - new_min <= q1:
-                    labels_at[d] = lab
-                    if d < leaf:
-                        # marked as the search descends, not at the leaf
-                        for j in earlier_d:
-                            used_sum[lab + labels_at[j]] = 1
-                        used_label[lab] = 1
-                        d += 1
-                        low[d], high[d] = new_min, new_max
-                        above, f = labels_at[lead[d]], follow[d]
-                        top = p - f if f else None
-                        while f and (lower := p - f - used_label.count(1, top + 1)) < top:
-                            top = lower
-                        todo[d] = (itertools.islice(choices[d], above, top)
-                                   if above or f else iter(choices[d]))
-                        break
-                    labelings += covered
-                    k = p + q + new_min
-                    if k not in valences:
-                        # no comprehension: it would make lab, read at
-                        # every node, a closure cell
-                        labeling = labels_at[:d + 1]
-                        labeling += sorted(set(range(1, p + 1)).difference(labeling))
-                        valences[k] = nodes, labelings, tuple(
-                            labeling[pos[v]] for v in range(p))
-                        closed.update((k, dual_valence(p, q, k)))
-                        if len(closed) >= full:
-                            return _TaskResult(nodes, labelings, False, valences)
+                ok = fresh
+            b = labels_at[first]
+            nb_e = 1 << b
+            a &= ok >> b
+            if rest:
+                for j in rest:
+                    b = labels_at[j]
+                    nb_e |= 1 << b
+                    a &= ok >> b
+                if a and nb_e.bit_length() - (nb_e & -nb_e).bit_length() > q1:
+                    a = 0
+        if a:
+            stack.append((cand, alive, free, sums, nb))
+            d, cand, alive, free, sums, nb = e, c, a, free_e, sums_e, nb_e
         else:
-            # depth d has no label left: back up and unmark its parent's
-            if d == 0:
-                return _TaskResult(nodes, labelings, True, valences)
-            d -= 1
-            lab = labels_at[d]
-            used_label[lab] = 0
-            for j in earlier[d]:
-                used_sum[lab + labels_at[j]] = 0
+            nodes += c.bit_count()  # tested at the next count, before any visit
+        while True:
+            # depth d's next survivor, or its end
+            if alive:
+                bit = alive & -alive
+                alive ^= bit
+                upto = cand & (bit << 1) - 1  # the dead below it, and it
+                cand ^= upto
+                nodes += upto.bit_count()
+            else:
+                bit = 0
+                nodes += cand.bit_count()
+            while nodes > due:
+                # those counted past due are dead or the survivor: test due + 1
+                if due >= cap:
+                    return _TaskResult(cap, labelings, False, valences)
+                if poll(due + 1):
+                    return _TaskResult(due + 1, labelings, False, valences)
+                due = min(cap, due + 4096)
+            if not bit:
+                if not stack:
+                    return _TaskResult(nodes, labelings, True, valences)
+                cand, alive, free, sums, nb = stack.pop()
+                d -= 1
+                continue
+            lab = bit.bit_length() - 1
+            labels_at[d] = lab
+            if d < leaf:
+                break
+            labelings += covered
+            placed = sums | nb << lab
+            k = p + q - 1 + (placed & -placed).bit_length()
+            if k not in valences:
+                labeling = labels_at[:d + 1]
+                labeling += sorted(set(range(1, p + 1)).difference(labeling))
+                valences[k] = nodes, labelings, tuple(
+                    labeling[pos[v]] for v in range(p))
+                closed.update((k, dual_valence(p, q, k)))
+                if len(closed) >= full:
+                    return _TaskResult(nodes, labelings, False, valences)
 
 
 # --- task construction and the in-order streaming executor ----------------

@@ -254,10 +254,10 @@ def test_parallel_work_is_bounded_by_budget():
 
 
 def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
-    # one test per node serves the cap and the poll, at the first node and
-    # at every 4096th after it; task 1 of C(3,9), first label 2, with 80,675
-    # nodes stops at exactly its cap on either side of a poll, with and
-    # without a poll
+    # one test per count serves the cap and the poll, which falls at the
+    # first node and at every 4096th after it; task 1 of C(3,9), first label
+    # 2, with 80,675 nodes stops at exactly its cap on either side of a
+    # poll, with and without a poll
     plan = solver_mod._make_plan(make_two_cycle(3, 9))
     polled = []
 
@@ -289,6 +289,33 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
                                  (2, 1, 10**9, (32_089, False, 2))):
         res = solver_mod._pool_task(plan, full, idx, (idx + 1,), cap)
         assert (res.nodes, res.exhausted, box.value) == ends, idx
+
+
+def test_task_cap_is_exact_at_every_node():
+    # the kernel counts dead candidates in bulk, but a cap that falls among
+    # them stops the task at exactly that node, with just the valences
+    # reached by then. Every task of: a two-cycle; K(1,5), whose follow
+    # rule caps each leaf; two K(1,2) whose centres share a neighbour, which
+    # comes before any edge is placed and dies where the centres' labels
+    # differ by more than q - 1 = 5; and K4, with q > 2p - 3
+    star = Graph(6, tuple((0, v) for v in range(1, 6)))
+    shared = Graph(7, ((0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6)))
+    k4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
+    assert k4.size > 2 * k4.order - 3
+    assert solver_mod._make_plan(shared).earlier[:3] == ((), (), (0, 1))
+    for g in (make_two_cycle(3, 5), star, shared, k4):
+        plan = solver_mod._make_plan(g)
+        live = min((g.order + 1) // 2, g.order - plan.follow[0])
+        for task in [(first,) for first in range(1, live + 1)]:
+            whole = solver_mod._run_task(plan, math.inf, task, 10**9)
+            total = whole.nodes
+            for cap in range(1, total + 2):
+                res = solver_mod._run_task(plan, math.inf, task, cap)
+                assert res.nodes == min(cap, total), (g, task, cap)
+                assert res.exhausted == (cap >= total), (g, task, cap)
+                assert res.valences == {
+                    k: at for k, at in whole.valences.items() if at[0] <= cap}
+    assert solver_mod._make_plan(star).follow == (0, 4, 3, 2, 1, 0)
 
 
 # C(3,4) + C4, order 10: NOT_SEM after 27,773 nodes. Its two-cycle takes
