@@ -7,7 +7,7 @@ a branch dies as soon as a sum repeats or the sums stop fitting in a window
 of q consecutive integers. Free labels and used sums are bit masks, so one
 mask operation per earlier neighbour finds every label of a depth that
 survives, the dead ones are counted in bulk, and backing up restores a
-saved state and undoes nothing. A graph with more than 2p-3 edges has no
+saved state, rebuilt below depth 64. A graph with more than 2p-3 edges has no
 labeling at all (Enomoto, Lladó, Nakamigawa & Ringel 1998), so there the
 window has width -1 and every edge placed kills its branch. Any bijection
 that survives is extendable (q distinct sums inside a width-(q-1) window
@@ -76,6 +76,10 @@ DEFAULT_BUDGET = 10**9
 # 0.07-0.15 s of one core, more than most of the paper's searches take,
 # while a pool costs ~15 ms to start and ~18 ms of imports (2-vCPU VM)
 _INLINE_NODES = 1 << 19
+
+# depths whose state the kernel saves for backing up; deeper ones are
+# rebuilt, so the saved masks hold O(p) bits in all, not O(p) per depth
+_SAVED_DEPTHS = 64
 
 
 class ValenceSet(NamedTuple):
@@ -351,17 +355,17 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
     dead candidates are counted in bulk, those below a survivor as it is
     visited and the rest as the depth ends: they change nothing, so a cap or
     a poll that falls among them falls on its exact node. The search keeps
-    its own stack of saved states, so backing up undoes nothing and no depth
-    costs a Python frame."""
-    p, q, pos = plan.p, plan.q, plan.pos
+    its own stack, so no depth costs a Python frame; it saves the states of
+    the first _SAVED_DEPTHS depths and rebuilds deeper ones on the way up."""
+    p, q, pos, leads = plan.p, plan.q, plan.pos, plan.lead
+    # per depth: followers, first earlier neighbour (or -1), the rest
+    steps = tuple((f, es[0] if es else -1, es[1:])
+                  for f, es in zip(plan.follow, plan.earlier))
     # the edge sums must fit a window of width q-1. A graph with more than
     # 2p-3 edges has no labeling (Enomoto et al. 1998): width -1, so every
     # edge placed ends its branch
     q1 = q - 1 if q <= 2 * p - 3 else -1
     fresh = -1 if q1 >= 0 else 0  # the sums the first edge placed may take
-    # per depth: lead, followers, first earlier neighbour (or -1), the rest
-    steps = tuple((lead, f, es[0] if es else -1, es[1:])
-                  for lead, f, es in zip(plan.lead, plan.follow, plan.earlier))
     labels_at = [0] * (p + 1)  # labels_at[p], "no lead", stays 0
     start = len(prefix_labels)
     pins = [1 << lab for lab in prefix_labels]
@@ -377,50 +381,49 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
     closed: set[int] = set()  # the valences reached and their duals
 
     # depth d's state: candidates and survivors not yet visited, free labels
-    # and used sums above it, earlier neighbours' labels. Depth -1 is the
-    # root, with 1..p free: the search descends below it as below label lab
-    stack = []
-    d, cand, alive, free, sums, nb, bit, lab = -1, 0, 0, (2 << p) - 2, 0, 0, 0, 0
+    # and used sums before its label, earlier neighbours' labels; -1 is the
+    # root. Depth x is built from free labels fr, used sums su and floor lo
+    saved, kept = _SAVED_DEPTHS, [None] * (_SAVED_DEPTHS + 1)
+    d, cand, alive, free, sums, nb = -1, 0, 0, 0, 0, 0
+    x, fr, su, lo = 0, (2 << p) - 2, 0, 0
     while True:
-        # depth e's candidates: free labels above its lead's; at a base with
-        # f followers, those with f free labels above them (the cap falls by
+        # depth x's candidates: free labels above lo; at a base with f
+        # followers, those with f free labels above them (the cap falls by
         # the ones it lacks until it stands still); at a pinned depth, its pin
-        e = d + 1
-        free_e = free ^ bit
-        sums_e = sums | nb << lab
-        lead_e, f, first, rest = steps[e]
-        c = free_e & -(2 << labels_at[lead_e])
+        f, first, rest = steps[x]
+        c = fr & -(2 << lo)
         if f:
-            top = free_e.bit_length() - 1 - f
-            while (short := f - (free_e >> top + 1).bit_count()) > 0:
+            top = fr.bit_length() - 1 - f
+            while (short := f - (fr >> top + 1).bit_count()) > 0:
                 top -= short
             c &= (2 << top) - 1
-        if e < start:
-            c &= pins[e]
+        if x < start:
+            c &= pins[x]
         # its survivors: each new sum lab + b, for b an earlier neighbour's
         # label, is in ok, the unused sums within q1 of every placed one (so
         # lab is in ok >> b), and the new sums are within q1 of each other
-        a, nb_e = c, 0
+        a, nb_x = c, 0
         if first >= 0:
-            if sums_e:
-                low = sums_e.bit_length() - 1 - q1
-                ok = ~sums_e & (1 << (sums_e & -sums_e).bit_length() + q1) - (
+            if su:
+                low = su.bit_length() - 1 - q1
+                ok = ~su & (1 << (su & -su).bit_length() + q1) - (
                     1 << low if low > 0 else 1)
             else:
                 ok = fresh
             b = labels_at[first]
-            nb_e = 1 << b
+            nb_x = 1 << b
             a &= ok >> b
-            if rest:
+            if rest:  # a lone neighbour's new sum spans nothing
                 for j in rest:
                     b = labels_at[j]
-                    nb_e |= 1 << b
+                    nb_x |= 1 << b
                     a &= ok >> b
-                if a and nb_e.bit_length() - (nb_e & -nb_e).bit_length() > q1:
+                if a and nb_x.bit_length() - (nb_x & -nb_x).bit_length() > q1:
                     a = 0
         if a:
-            stack.append((cand, alive, free, sums, nb))
-            d, cand, alive, free, sums, nb = e, c, a, free_e, sums_e, nb_e
+            if d < saved:  # going down from d (the root's is kept[-1])
+                kept[d] = cand, alive, free, sums, nb
+            d, cand, alive, free, sums, nb = x, c, a, fr, su, nb_x
         else:
             nodes += c.bit_count()  # tested at the next count, before any visit
         while True:
@@ -442,14 +445,24 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
                     return _TaskResult(due + 1, labelings, False, valences)
                 due = min(cap, due + 4096)
             if not bit:
-                if not stack:
+                if d <= start:  # the depths above hold nothing but their pins
                     return _TaskResult(nodes, labelings, True, valences)
-                cand, alive, free, sums, nb = stack.pop()
                 d -= 1
-                continue
+                if d < saved:
+                    cand, alive, free, sums, nb = kept[d]
+                    continue
+                # rebuild depth d: take its label and sums back; floor lo
+                x, lo, nb_x, cand = d, labels_at[d], 0, 0
+                for j in plan.earlier[d]:
+                    nb_x |= 1 << labels_at[j]
+                fr = free = free | 1 << lo
+                su = sums = sums ^ nb_x << lo
+                break
             lab = bit.bit_length() - 1
             labels_at[d] = lab
             if d < leaf:
+                x = d + 1
+                fr, su, lo = free ^ bit, sums | nb << lab, labels_at[leads[x]]
                 break
             labelings += covered
             placed = sums | nb << lab

@@ -291,13 +291,16 @@ def test_task_cap_is_exact_at_the_abort_poll(monkeypatch):
         assert (res.nodes, res.exhausted, box.value) == ends, idx
 
 
-def test_task_cap_is_exact_at_every_node():
+@pytest.mark.parametrize("saved", [solver_mod._SAVED_DEPTHS, 0])
+def test_task_cap_is_exact_at_every_node(monkeypatch, saved):
     # the kernel counts dead candidates in bulk, but a cap that falls among
     # them stops the task at exactly that node, with just the valences
     # reached by then. Every task of: a two-cycle; K(1,5), whose follow
     # rule caps each leaf; two K(1,2) whose centres share a neighbour, which
     # comes before any edge is placed and dies where the centres' labels
-    # differ by more than q - 1 = 5; and K4, with q > 2p - 3
+    # differ by more than q - 1 = 5; and K4, with q > 2p - 3. With no depth
+    # saved, backing up rebuilds every depth, and the counts are the same
+    monkeypatch.setattr(solver_mod, "_SAVED_DEPTHS", saved)
     star = Graph(6, tuple((0, v) for v in range(1, 6)))
     shared = Graph(7, ((0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6)))
     k4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
@@ -316,6 +319,49 @@ def test_task_cap_is_exact_at_every_node():
                 assert res.valences == {
                     k: at for k, at in whole.valences.items() if at[0] <= cap}
     assert solver_mod._make_plan(star).follow == (0, 4, 3, 2, 1, 0)
+
+
+def test_rebuilt_depths_search_as_saved_ones(monkeypatch):
+    # below _SAVED_DEPTHS backing up rebuilds a depth instead of restoring
+    # it. Whichever depths are saved, a task gives the same result and polls
+    # at the same nodes: first witnesses and full runs, under a user prefix
+    # with the lead rule off, cut by a cap or by a poll that stops it
+    def run(plan, full, prefix, cap, stop):
+        polled = []
+        res = solver_mod._run_task(
+            plan, full, prefix, cap,
+            lambda n: polled.append(n) or n >= stop)
+        return res, polled
+
+    cases = []
+    for g in (make_two_cycle(3, 6), C34_C4, make_cycle(9)):
+        plan = solver_mod._make_plan(g)
+        off = plan._replace(lead=(plan.p,) * plan.p, follow=(0,) * plan.p)
+        cases += [(plan, full, (2,), cap, stop)
+                  for full in (1, math.inf)
+                  for cap, stop in ((10**9, 10**9), (700, 10**9),
+                                    (10**9, 4_097))]
+        cases.append((off, 2, (3, 1, 4), 10**9, 10**9))
+    expected = [run(*case) for case in cases]
+    for saved in (0, 1, 3):
+        monkeypatch.setattr(solver_mod, "_SAVED_DEPTHS", saved)
+        assert [run(*case) for case in cases] == expected, saved
+
+
+def test_a_deep_search_holds_o_p_memory():
+    # the first dive on the cycle C_2001 labels 1, 2, 3, ... and goes some
+    # 1,000 depths down in a task cut at 2,000 nodes. Saving the masks of
+    # every depth, O(p) bits each, held 1.3 MiB of traced memory; saving
+    # the first _SAVED_DEPTHS and rebuilding deeper ones holds ~0.1 MiB
+    plan = solver_mod._make_plan(make_cycle(2001))
+    tracemalloc.start()
+    try:
+        res = solver_mod._run_task(plan, 1, (1,), 2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.nodes, res.exhausted) == (2_000, False)
+    assert peak < 2**19
 
 
 # C(3,4) + C4, order 10: NOT_SEM after 27,773 nodes. Its two-cycle takes
