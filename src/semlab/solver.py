@@ -16,6 +16,13 @@ unused labels survives, so reaching the leaf depth, the last one with an
 edge (or the last pinned one, if deeper), is a witness: its ascending fill
 is the least of the labelings that node stands for.
 
+Every labeling's valence, (sum of deg(v) f(v) + sum of p+1..p+q) / q, is
+an integer: the paper's (4,2,...,2) argument, per labeling. Once the last
+vertex above the least degree has its label (the pin depth, 0 on a regular
+graph) the numerator is fixed, so that depth keeps only the labels that
+make q divide it, and the rest die where they stand. Like the span test it
+is a sound prune: it holds under a user prefix and without obstructions.
+
 An automorphism of a component keeps every edge sum, so the search takes
 one labeling per orbit, its lex-leader (Crawford, Ginsberg, Luks & Roy, KR
 1996), by Puget's rule for all-different problems (IJCAI 2005): a position
@@ -61,7 +68,8 @@ from typing import NamedTuple
 
 from .graphs import Graph, Record, as_int
 from .labeling import (SemLabeling, ValenceInterval, dual_valence,
-                       extend_to_sem, sem_interval, verify_sem)
+                       edge_label_total, extend_to_sem, sem_interval,
+                       verify_sem)
 from .obstructions import ObstructionVerdict, check_all
 
 STATUS_SEM = "SEM"
@@ -195,6 +203,11 @@ class _Plan(NamedTuple):
     lead: tuple[int, ...]
     # the positions whose chain of leads reaches each position
     follow: tuple[int, ...]
+    # integrality: each position's degree less the least, the last position
+    # weighted (0 if none), and the valence numerator less sum(wt * label)
+    wt: tuple[int, ...]
+    pin: int
+    base: int
 
 
 # colour-refinement work one plan may spend on automorphisms, in vertices
@@ -301,10 +314,15 @@ def _make_plan(g: Graph) -> _Plan:
     for y in reversed(range(p)):
         if lead[y] < p:
             follow[lead[y]] += follow[y] + 1
+    deg = g.degrees()
+    low = min(deg, default=0)
+    wt = tuple(deg[v] - low for v in order)
     return _Plan(
         p=p, q=g.size, pos=tuple(pos[v] for v in range(p)),
         earlier=tuple(tuple(sorted(e)) for e in earlier), last=last,
-        lead=tuple(lead), follow=tuple(follow))
+        lead=tuple(lead), follow=tuple(follow), wt=wt,
+        pin=max((d for d in range(p) if wt[d]), default=0),
+        base=low * p * (p + 1) // 2 + edge_label_total(p, g.size))
 
 
 class _TaskResult(NamedTuple):
@@ -367,6 +385,13 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
     q1 = q - 1 if q <= 2 * p - 3 else -1
     fresh = -1 if q1 >= 0 else 0  # the sums the first edge placed may take
     labels_at = [0] * (p + 1)  # labels_at[p], "no lead", stays 0
+    # at depth pin q must divide base + sum(wt * label): the labels left are
+    # one class mod m, or none, the comb (bits 0, m, 2m...) shifted to it
+    pin, wt = plan.pin, plan.wt
+    g = math.gcd(wt[pin], q)
+    m = q // g
+    inv = pow(wt[pin] // g, -1, m)
+    comb = ((1 << (p // m + 1) * m) - 1) // ((1 << m) - 1)
     start = len(prefix_labels)
     pins = [1 << lab for lab in prefix_labels]
     # one test per count serves the cap and the poll: due is the sooner
@@ -420,6 +445,11 @@ def _run_task(plan: _Plan, full: float, prefix_labels: tuple[int, ...],
                     a &= ok >> b
                 if a and nb_x.bit_length() - (nb_x & -nb_x).bit_length() > q1:
                     a = 0
+        if x == pin and a:
+            t = plan.base
+            for j in range(x):
+                t += wt[j] * labels_at[j]
+            a = 0 if t % g else a & comb << (-(t // g) * inv - 1) % m + 1
         if a:
             if d < saved:  # going down from d (the root's is kept[-1])
                 kept[d] = cand, alive, free, sums, nb

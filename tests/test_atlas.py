@@ -42,11 +42,11 @@ def test_search_sem_set_and_obstructions_agree_with_oracle():
     # node counts are deterministic: any change to the kernel's pruning or
     # task split shows here. 729 of these graphs have a vertex with three or
     # more neighbours assigned before it
-    assert (nodes, labelings) == (352_148, 624)
+    assert (nodes, labelings) == (254_027, 624)
     # full enumeration of the lex-leaders, and the runs of sem_set,
     # which stop once the valences found and their duals fill the interval
-    assert enumerated == 931_242
-    assert saturated == [1_215, 593_548]
+    assert enumerated == 693_690
+    assert saturated == [1_215, 445_777]
 
 
 def test_saturation_stops_at_the_first_labeling_of_a_dual_pair():
@@ -100,3 +100,33 @@ def test_split_count_is_that_of_one_sequential_search():
             assert search_sem(g, SEQ, prefix=()).witness == split.witness, g
             checked += 1
     assert checked == 626
+
+
+def test_the_integrality_pin_keeps_every_answer():
+    # at the pin depth the kernel keeps only the labels that make q divide
+    # the valence's numerator; each one it drops is a node that dies. With
+    # the pin off, every weight 0 and a base of 0, each task of the split
+    # reaches the same valences at the same labelings, stops or exhausts
+    # alike, and takes at least as many nodes. Cut below the pin depth,
+    # both count the same nodes: the dropped ones are visited too
+    graphs = [g for _, g in atlas_graphs()]
+    graphs += [make_two_cycle(m, n) for m in range(3, 6) for n in range(m, 6)]
+    totals = [0, 0]
+    for g in graphs:
+        plan = _make_plan(g)
+        off = plan._replace(wt=(0,) * plan.p, base=0)
+        live = min((plan.p + 1) // 2, plan.p - plan.follow[0])
+        for task in [(first,) for first in range(1, live + 1)]:
+            for full in (1, math.inf):
+                on, no = (_run_task(pl, full, task, DEFAULT_BUDGET)
+                          for pl in (plan, off))
+                assert on.exhausted == no.exhausted, (g, task)
+                assert ({k: at[1:] for k, at in on.valences.items()}
+                        == {k: at[1:] for k, at in no.valences.items()}), (g, task)
+                assert on.nodes <= no.nodes, (g, task)
+                totals[0] += on.nodes
+                totals[1] += no.nodes
+            on, no = (_run_task(pl._replace(last=plan.pin + 1), math.inf, task,
+                                DEFAULT_BUDGET) for pl in (plan, off))
+            assert on.nodes == no.nodes, (g, task)
+    assert totals == [1_142_065, 1_585_367]

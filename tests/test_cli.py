@@ -35,8 +35,9 @@ def test_solve_sem_exit_code(capsys):
 
 
 def test_solve_budget_exit_code(capsys):
-    code, out, _ = run(capsys, "solve", "--gen", "cycle", "10", "--threads", "1",
-                       "--no-obstructions", "--budget", "7")
+    # C(3,13) is SEM, but its search reaches a witness at node 18,761,717
+    code, out, _ = run(capsys, "solve", "--gen", "two-cycle", "3", "13",
+                       "--threads", "1", "--no-obstructions", "--budget", "7")
     assert code == 2
     assert "UNKNOWN_BUDGET_EXCEEDED" in out
 
@@ -155,7 +156,7 @@ def test_cli_leaves_numpy_unimported():
 
 
 def test_cli_imports_the_pool_only_to_start_it():
-    # C(3,9) ends at node 188,220, below _INLINE_NODES: at two threads it
+    # C(3,9) ends at node 32,091, below _INLINE_NODES: at two threads it
     # runs in this process and leaves the pool's modules unimported. A
     # threshold of 0 starts the pool at its first node, and imports them
     pool = ["concurrent.futures", "multiprocessing"]
@@ -473,9 +474,9 @@ def test_interval_valences_perfect(capsys):
 
 
 def test_valences_budget_exit_codes(capsys):
-    # sem_set on C(4,8) fills its interval [29, 30] at node 187,488: one
+    # sem_set on C(4,8) fills its interval [29, 30] at node 26,555: one
     # node short of it the set is partial (exit 2), at it complete (exit 0)
-    for budget, code, values in (("187487", 2, []), ("187488", 0, [29, 30])):
+    for budget, code, values in (("26554", 2, []), ("26555", 0, [29, 30])):
         got, out, _ = run(capsys, "valences", "--gen", "two-cycle", "4", "8",
                           "--budget", budget, "--threads", "2", "--json")
         assert got == code

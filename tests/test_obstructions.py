@@ -51,7 +51,6 @@ def test_degseq_4_2_ignores_connectivity():
     assert v is not None and v.params["order"] == 12
 
 
-@pytest.mark.slow
 def test_degseq_4_2_disconnected_order12_exhausts():
     from semlab import SearchConfig, search_sem
     from semlab.solver import DEFAULT_BUDGET, _execute
@@ -59,12 +58,14 @@ def test_degseq_4_2_disconnected_order12_exhausts():
     g = disjoint_union(make_cycle(6), make_two_cycle(3, 4))
     out = search_sem(g, SearchConfig(use_obstructions=False, threads=2))
     assert out.status == STATUS_NOT_SEM_EXHAUSTED
-    assert out.stats.nodes == 352_960
+    # the hub's label alone makes the valence non-integral: each of the
+    # six tasks dies at its root
+    assert out.stats.nodes == 6
     # the same at 1, 2 and 4 threads
     for threads in (1, 2, 4):
         engine = _execute(g, DEFAULT_BUDGET, threads, 1)
         assert (engine.nodes, engine.witness, engine.exceeded) == (
-            352_960, None, False)
+            6, None, False)
 
 
 def test_degseq_4_2_on_two_cycles_iff_odd_total():
