@@ -9,8 +9,7 @@ budget ran out; bad input exits 3 and an internal failure 4 everywhere.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
+import gc
 import io
 import json
 import os
@@ -277,6 +276,7 @@ def _sweep_graphs(args):
 
 
 def cmd_sweep(args) -> int:
+    import csv  # only here: its import slows every start-up
     cfg = _config(args)
     rows = list(_sweep_graphs(args))  # all built and checked before a search
     header = ["family", "params", "order", "size", "obstruction", "status",
@@ -432,31 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout, argparse's help too, goes out once the command returns, so
+    # that a full or closed stdout is told apart from a failure inside it
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
-        # stdout, argparse's help too, goes out once the command returns, so
-        # that a full or closed stdout is told apart from a failure inside it
-        with contextlib.redirect_stdout(io.StringIO()) as text:
-            try:
-                args = build_parser().parse_args(argv)
-            except SystemExit as exc:
-                # --help exits 0; a usage error exits 3, since 2 is budget exceeded
-                code = EXIT_INPUT_ERROR if exc.code else 0
-            else:
-                # every output path is checked before any work: appending
-                # nothing changes no content, and a file made here is removed again
-                for path in filter(None, (vars(args).get("cert_out"),
-                                          vars(args).get("output"))):
-                    made = not os.path.lexists(path)
-                    _write(path, "", "a")
-                    if made:
-                        os.remove(path)
-                code = args.func(args)
         try:
-            sys.stdout.write(text.getvalue())
-            sys.stdout.flush()
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # --help exits 0; a usage error exits 3, since 2 is budget exceeded
+            code = EXIT_INPUT_ERROR if exc.code else 0
+        else:
+            # every output path is checked before any work: appending
+            # nothing changes no content, and a file made here is removed again
+            for path in filter(None, (vars(args).get("cert_out"),
+                                      vars(args).get("output"))):
+                made = not os.path.lexists(path)
+                _write(path, "", "a")
+                if made:
+                    os.remove(path)
+            code = args.func(args)
+        try:
+            stdout.write(sys.stdout.getvalue())
+            stdout.flush()
         except OSError as exc:
             # what the buffer holds would fail again at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
             raise CliError(f"cannot write stdout: {exc}") from exc
         return code
     except (CliError, GraphError, LabelingError) as exc:
@@ -467,7 +467,18 @@ def main(argv: list[str] | None = None) -> int:
         import traceback  # only here: its import slows every start-up
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        sys.stdout = stdout
+
+
+def entry() -> int:
+    """main() on sys.argv for ``python -m semlab.cli`` and the ``semlab``
+    script. With stdout flushed, it freezes every object made so far, so
+    that the interpreter's full collections at exit skip the module heap."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

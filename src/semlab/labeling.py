@@ -12,9 +12,8 @@ here too, in the last section.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .graphs import Graph, as_int
 
@@ -52,7 +51,8 @@ def complement_labeling(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(p + 1 - x for x in labels)
 
 
-class SemLabeling(NamedTuple):
+class SemLabeling(namedtuple("SemLabeling",
+                             "vertex_labels edge_labels valence")):
     """A full super edge-magic labeling: the checkable certificate.
 
     ``edge_labels`` holds (u, v, label) triples covering every edge once;
@@ -60,9 +60,7 @@ class SemLabeling(NamedTuple):
     f(u) + f(v) + f(uv) equals ``valence`` on every edge.
     """
 
-    vertex_labels: tuple[int, ...]
-    edge_labels: tuple[tuple[int, int, int], ...]
-    valence: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"vertex_labels": list(self.vertex_labels),
@@ -113,9 +111,8 @@ REASON_LABEL_UNION = "labels not a bijection onto 1..p+q"
 REASON_VALENCE = "non-constant valence"
 
 
-class VerifyResult(NamedTuple):
-    ok: bool
-    reason: str | None = None
+class VerifyResult(namedtuple("VerifyResult", "ok reason", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -140,18 +137,26 @@ def verify_sem(g: Graph, cert: SemLabeling) -> VerifyResult:
 
 # --- valence arithmetic ----------------------------------------------------
 
-def valence_of(g: Graph, labels: Sequence[int]) -> Fraction:
+def _rational(num: int, den: int):
+    """num/den exactly: an int when integral, else a Fraction (imported then)."""
+    if num % den == 0:
+        return num // den
+    from fractions import Fraction
+    return Fraction(num, den)
+
+
+def valence_of(g: Graph, labels: Sequence[int]):
     """The would-be valence (sum of deg(v)*f(v) plus all edge labels, over q).
 
-    Defined for any bijection; an exact rational. Equals the integer
-    valence of extend_to_sem whenever the labeling is extendable.
+    Defined for any bijection; an exact rational (see ``_rational``). Equals
+    the integer valence of extend_to_sem whenever the labeling is extendable.
     """
     q = g.size
     if q == 0:
         raise LabelingError("valence undefined for an edgeless graph")
     check_vertex_labeling(g, labels)
     weighted = sum(d * x for d, x in zip(g.degrees(), labels))
-    return Fraction(weighted + edge_label_total(g.order, q), q)
+    return _rational(weighted + edge_label_total(g.order, q), q)
 
 
 def dual_valence(p: int, q: int, k: int) -> int:
@@ -178,13 +183,20 @@ def rearrangement_extremes(degrees: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-class ValenceInterval(NamedTuple):
-    """Integer interval [ceil(min), floor(max)] of would-be valences."""
+class ValenceInterval(namedtuple("ValenceInterval",
+                                 "lo hi min_num max_num q")):
+    """Integer interval [lo, hi] = [ceil(min_s), floor(max_s)] of would-be
+    valences, whose exact bounds are min_num/q and max_num/q."""
 
-    lo: int
-    hi: int
-    min_s: Fraction
-    max_s: Fraction
+    __slots__ = ()
+
+    @property
+    def min_s(self):
+        return _rational(self.min_num, self.q)
+
+    @property
+    def max_s(self):
+        return _rational(self.max_num, self.q)
 
     @property
     def empty(self) -> bool:
@@ -198,12 +210,11 @@ class ValenceInterval(NamedTuple):
 
 
 def sem_interval(g: Graph) -> ValenceInterval:
-    """Endpoints of the integer valence window for g (exact rationals kept)."""
+    """Endpoints of the integer valence window for g (exact bounds kept)."""
     p, q = g.order, g.size
     if q == 0:
         raise ValueError("valence interval undefined for an edgeless graph")
     lo_num, hi_num = rearrangement_extremes(g.degrees())
     total = edge_label_total(p, q)
-    min_s = Fraction(lo_num + total, q)
-    max_s = Fraction(hi_num + total, q)
-    return ValenceInterval(math.ceil(min_s), math.floor(max_s), min_s, max_s)
+    min_num, max_num = lo_num + total, hi_num + total
+    return ValenceInterval(-(-min_num // q), max_num // q, min_num, max_num, q)

@@ -7,8 +7,7 @@ deliberately incomplete. All arithmetic is exact (integers and Fractions).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .graphs import Graph, degree_sequence
 from .labeling import edge_label_total, sem_interval
@@ -18,10 +17,9 @@ DEGSEQ_4_2_EVEN_ORDER = "DEGSEQ_4_2_EVEN_ORDER"
 VALENCE_INTEGRALITY = "VALENCE_INTEGRALITY"
 
 
-class ObstructionVerdict(NamedTuple):
-    rule: str
-    justification: str
-    params: dict
+class ObstructionVerdict(namedtuple("ObstructionVerdict",
+                                    "rule justification params")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "params": dict(self.params)}
@@ -68,8 +66,8 @@ def check_degseq_4_2_even_order(g: Graph) -> ObstructionVerdict | None:
     )
 
 
-def theorem_valence_gap(n: int, alpha: int) -> Fraction:
-    """Exact would-be valence (5n^2 + 7n + 2 + 4*alpha) / (2(n+1)).
+def theorem_valence_gap(n: int, alpha: int):
+    """Exact would-be valence (5n^2 + 7n + 2 + 4*alpha) / (2(n+1)), a Fraction.
 
     For even n >= 6 and alpha in [1, n] this is never an integer, which is
     the arithmetic behind check_degseq_4_2_even_order; alpha plays the role
@@ -79,6 +77,7 @@ def theorem_valence_gap(n: int, alpha: int) -> Fraction:
         raise ValueError(f"n must be an even integer >= 6, got {n}")
     if not 1 <= alpha <= n:
         raise ValueError(f"alpha must be in [1, {n}], got {alpha}")
+    from fractions import Fraction  # only here: its import slows start-up
     return Fraction(5 * n * n + 7 * n + 2 + 4 * alpha, 2 * (n + 1))
 
 

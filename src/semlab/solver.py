@@ -62,9 +62,8 @@ import itertools
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
-from typing import NamedTuple
 
 from .graphs import Graph, Record, as_int
 from .labeling import (SemLabeling, ValenceInterval, dual_valence,
@@ -90,21 +89,18 @@ _INLINE_NODES = 1 << 19
 _SAVED_DEPTHS = 64
 
 
-class ValenceSet(NamedTuple):
-    """Valences realized by actual labelings; ``complete`` is False when a
-    budget cut means further valences may exist."""
+class ValenceSet(namedtuple("ValenceSet", "values complete", defaults=(True,))):
+    """Valences realized by actual labelings, a sorted tuple; ``complete`` is
+    False when a budget cut means further valences may exist."""
 
-    values: tuple[int, ...]
-    complete: bool = True
+    __slots__ = ()
 
     def to_json(self) -> list[int]:
         return list(self.values)
 
 
-class SearchStats(NamedTuple):
-    nodes: int
-    labelings: int
-    millis: float
+class SearchStats(namedtuple("SearchStats", "nodes labelings millis")):
+    __slots__ = ()
 
 
 class SearchConfig(Record):
@@ -129,16 +125,10 @@ class SearchConfig(Record):
         return self.threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-class SearchOutcome(NamedTuple):
-    graph: Graph
-    status: str
-    witness: SemLabeling | None
-    obstruction: ObstructionVerdict | None
-    interval: ValenceInterval | None
-    valence_set: ValenceSet | None
-    stats: SearchStats
-    config: SearchConfig
-    prefix: tuple[tuple[int, int], ...] | None = None
+class SearchOutcome(namedtuple(
+        "SearchOutcome", "graph status witness obstruction interval "
+        "valence_set stats config prefix", defaults=(None,))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,24 +180,15 @@ def assignment_order(g: Graph) -> list[int]:
 
 # --- search plan: static per-graph data shared by all tasks ---------------
 
-class _Plan(NamedTuple):
-    p: int
-    q: int
-    # position of each vertex in assignment order
-    pos: tuple[int, ...]
-    # positions of earlier-assigned neighbors, per position
-    earlier: tuple[tuple[int, ...], ...]
-    # one past the last position with an edge: every later vertex is isolated
-    last: int
-    # each position's lead, whose label it must exceed, or p where it has none
-    lead: tuple[int, ...]
-    # the positions whose chain of leads reaches each position
-    follow: tuple[int, ...]
-    # integrality: each position's degree less the least, the last position
-    # weighted (0 if none), and the valence numerator less sum(wt * label)
-    wt: tuple[int, ...]
-    pin: int
-    base: int
+class _Plan(namedtuple("_Plan", "p q pos earlier last lead follow wt pin base")):
+    # pos: each vertex's position in assignment order
+    # earlier: positions of earlier-assigned neighbors, per position
+    # last: one past the last position with an edge; later vertices are isolated
+    # lead: each position's lead, whose label it must exceed, or p where none
+    # follow: the positions whose chain of leads reaches each position
+    # integrality: wt, each position's degree less the least; pin, the last
+    # position weighted (0 if none); base, the numerator less sum(wt * label)
+    __slots__ = ()
 
 
 # colour-refinement work one plan may spend on automorphisms, in vertices
@@ -325,15 +306,12 @@ def _make_plan(g: Graph) -> _Plan:
         base=low * p * (p + 1) // 2 + edge_label_total(p, g.size))
 
 
-class _TaskResult(NamedTuple):
+class _TaskResult(namedtuple("_TaskResult", "nodes labelings exhausted valences")):
     """One subtree's search. A task that stops once its valences suffice, or
-    at its cap, has not ``exhausted`` it."""
+    at its cap, has not ``exhausted`` it. ``valences`` maps each valence to
+    (nodes, labelings, vertex labels by vertex) where first reached."""
 
-    nodes: int
-    labelings: int
-    exhausted: bool
-    # valence -> (nodes, labelings, vertex labels by vertex) where first reached
-    valences: dict[int, tuple[int, int, tuple[int, ...]]]
+    __slots__ = ()
 
 
 _WORKER_ABORT = None  # set by the pool initializer in worker processes

@@ -1,12 +1,17 @@
 """Correctness floor: every graph of the networkx atlas (all graphs on at
 most 7 vertices, up to isomorphism) against the brute-force oracle."""
 
+import json
 import math
+from fractions import Fraction
 
 import networkx as nx
 
-from semlab import (Graph, SearchConfig, STATUS_SEM, check_all, make_two_cycle,
-                    oracle_search, search_sem, sem_interval, sem_set)
+from semlab import (Graph, SearchConfig, STATUS_SEM, check_all,
+                    check_valence_integrality, make_two_cycle, oracle_search,
+                    search_sem, sem_interval, sem_set, serialize_graph,
+                    valence_of)
+from semlab.cli import main
 from semlab.labeling import dual_valence
 from semlab.solver import DEFAULT_BUDGET, _execute, _make_plan, _run_task
 
@@ -130,3 +135,43 @@ def test_the_integrality_pin_keeps_every_answer():
                                 DEFAULT_BUDGET) for pl in (plan, off))
             assert on.nodes == no.nodes, (g, task)
     assert totals == [1_142_065, 1_585_367]
+
+
+def test_valences_are_exact_rationals(capsys):
+    # min_s, max_s and valence_of are the Fraction (sum of deg * label plus
+    # the edge labels) / q, as an int exactly where it is integral; the
+    # interval command and the obstruction's params show them as a Fraction
+    def exact(value, want):
+        assert value == want
+        assert type(value) is (int if want.denominator == 1 else Fraction)
+
+    by_interval = 0
+    for index, g in atlas_graphs():
+        p, q = g.order, g.size
+        deg = g.degrees()
+        total = sum(range(p + 1, p + q + 1))
+        labels = range(1, p + 1)
+        want = [Fraction(sum(d * x for d, x in zip(deg, order)) + total, q)
+                for order in (labels, labels[::-1])]
+        exact(valence_of(g, tuple(labels)), want[0])
+        exact(valence_of(g, tuple(labels[::-1])), want[1])
+        lo = Fraction(sum(d * x for d, x in zip(sorted(deg)[::-1], labels))
+                      + total, q)
+        hi = Fraction(sum(d * x for d, x in zip(sorted(deg), labels)) + total, q)
+        iv = sem_interval(g)
+        exact(iv.min_s, lo)
+        exact(iv.max_s, hi)
+        assert (iv.lo, iv.hi) == (math.ceil(lo), math.floor(hi)), index
+        assert main(["interval", "--g6", serialize_graph(g, "graph6"),
+                     "--json"]) == 0
+        span = [] if iv.lo > iv.hi else [iv.lo, iv.hi]
+        assert capsys.readouterr().out == json.dumps(
+            {"interval": span, "min": str(lo), "max": str(hi)}) + "\n", index
+        verdict = check_valence_integrality(g)
+        if verdict is not None and "min_valence" in verdict.params:
+            by_interval += 1
+            assert verdict.params == {
+                "min_valence": [lo.numerator, lo.denominator],
+                "max_valence": [hi.numerator, hi.denominator]}, index
+            assert f"valences {lo} and {hi}" in verdict.justification
+    assert by_interval == 7

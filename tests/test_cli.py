@@ -142,12 +142,22 @@ def test_input_errors_exit_3(tmp_path, capsys):
 
 def test_cli_leaves_numpy_unimported():
     # only the oracle needs numpy, and no command runs the oracle; no module
-    # needs dataclasses, whose import of inspect costs every call start-up
-    code = ("import sys, semlab.cli\n"
-            "unused = lambda: {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+    # needs dataclasses, whose import of inspect costs every call start-up,
+    # nor typing, fractions (with decimal and numbers), csv or contextlib.
+    # The modules are those new since before the import, as a site hook may
+    # import some of them first; an in-process main() freezes nothing
+    code = ("import gc, sys\n"
+            "before = set(sys.modules)\n"
+            "import semlab.cli\n"
+            "unused = lambda: {'numpy', 'dataclasses', 'inspect', 'typing',\n"
+            "                  'fractions', 'decimal', 'numbers', 'csv',\n"
+            "                  'contextlib'} & (set(sys.modules) - before)\n"
             "assert not unused(), ('on import', unused())\n"
             "semlab.cli.main(['solve', '--gen', 'cycle', '5', '--threads', '1'])\n"
-            "assert not unused(), ('after solve', unused())\n")
+            "semlab.cli.main(['valences', '--gen', 'two-cycle', '4', '8',"
+            " '--threads', '1'])\n"
+            "assert not unused(), ('after solve and valences', unused())\n"
+            "assert gc.get_freeze_count() == 0\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -332,6 +342,71 @@ def test_unwritable_stdout_exits_3():
         assert proc.returncode == 3, (sink, argv, proc.stderr)
         assert proc.stderr.startswith("error: cannot write stdout: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _masked(json_text: str) -> dict:
+    data = json.loads(json_text)
+    data["stats"]["millis"] = None
+    return data
+
+
+def test_module_exit_path(tmp_path, capsys):
+    # python -m semlab.cli and the semlab script leave through one function,
+    # entry(); each exit code comes with its whole output
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert re.search(r'^semlab = "semlab\.cli:entry"$',
+                     pyproject.read_text(encoding="utf-8"), re.M)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cert = tmp_path / "c5.json"
+    for want, argv in (
+            (0, ["--gen", "cycle", "5", "--threads", "1", "--cert-out", str(cert)]),
+            (1, ["--gen", "two-cycle", "3", "4"]),
+            (2, ["--gen", "two-cycle", "3", "13", "--threads", "1",
+                 "--no-obstructions", "--budget", "7"]),
+            (3, ["--gen", "cycle", "2"])):
+        argv = ["solve", *argv, "--json"]
+        proc = subprocess.run([sys.executable, "-m", "semlab.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == want, proc.stderr
+        if want == 0:
+            check = subprocess.run(
+                [sys.executable, "-m", "semlab.cli", "check", "--gen", "cycle",
+                 "5", "--cert", str(cert)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (check.returncode, check.stdout) == (
+                0, "certificate valid: valence 14\n")
+        code, out, err = run(capsys, *argv)
+        assert code == want
+        if want == 3:
+            assert (proc.stdout, proc.stderr) == ("", err)
+        else:
+            assert _masked(proc.stdout) == _masked(out)
+
+
+def test_pooled_run_exits_through_the_freeze(capsys):
+    # a threshold of 0 starts a pool of two workers at the first node; the
+    # run still exits 0 with the in-process answer, once entry() has frozen
+    # the heap, and leaves no process in its process group
+    argv = ["solve", "--gen", "two-cycle", "3", "9", "--threads", "2", "--json"]
+    code = ("import atexit, gc, runpy, sys\n"
+            "import semlab.solver\n"
+            "semlab.solver._INLINE_NODES = 0\n"
+            "atexit.register(lambda: print('multiprocessing' in sys.modules,"
+            " gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "runpy.run_module('semlab.cli', run_name='__main__', alter_sys=True)\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        stdout, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stderr) == (0, "True True\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    got, out, _ = run(capsys, *argv)
+    assert got == 0 and _masked(stdout) == _masked(out)
 
 
 def test_graph_inputs(tmp_path, capsys):
